@@ -32,6 +32,7 @@ from .density import (
     DensityReport,
     count_large_factor,
     count_stormer,
+    density_sweep,
     heuristic_probability,
     mertens_gap,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "count_large_factor",
     "count_stormer",
     "decompose",
+    "density_sweep",
     "enumerate_stormer",
     "euclid_quotients",
     "extended_gcd",

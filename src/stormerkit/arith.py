@@ -169,7 +169,7 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 # Primes used for the trial-division stage of factorize().  A short prefix is
 # enough: rho handles any cofactor this package meets (values <= ~1e13), and
-# full-table trial division would dominate the bulk enumeration budget.
+# full-table trial division would slow every single-number query.
 _TRIAL_LIMIT = 1000
 _trial_primes: list[int] | None = None
 
@@ -222,7 +222,7 @@ def largest_prime_factor(n: int) -> int:
     """Largest prime factor of n >= 2.
 
     Same machinery as :func:`factorize` but skips exponent bookkeeping; this
-    is the hot path of the bulk Stormer enumeration.
+    is how a single Stormer candidate is tested.
     """
     if n < 2:
         raise ValueError(f"largest_prime_factor expects n >= 2, got {n}")
@@ -276,13 +276,21 @@ def sqrt_minus_one_mod_p(p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"x^2 == -1 (mod {p}) has no solution: {p} % 4 != 1")
-    e = (p - 1) // 2
-    a = 2
-    while pow(a, e, p) != p - 1:
-        a += 1
-    x = pow(a, (p - 1) // 4, p)
-    assert x * x % p == p - 1
-    return x
+    return _sqrt_minus_one(p)
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """:func:`sqrt_minus_one_mod_p` for p already known to be a prime == 1 (mod 4).
+
+    a**((p-1)/4) squares to -1 exactly when a is a non-residue, so the first
+    a whose power does is the least non-residue.
+    """
+    e = (p - 1) // 4
+    for a in range(2, p):
+        x = pow(a, e, p)
+        if x * x % p == p - 1:
+            return x
+    raise ArithmeticError(f"no square root of -1 modulo {p}: {p} is not a prime == 1 (mod 4)")
 
 
 @dataclass(frozen=True)

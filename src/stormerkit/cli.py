@@ -4,8 +4,8 @@ Every command supports ``--format`` where meaningful (text, json, csv) and
 ``--out`` to write to a file instead of stdout.  Exit codes: 0 on success,
 2 on usage or parse errors, 3 on domain errors (e.g. a prime that is 3 mod
 4 where 1 mod 4 is required).  Long-running commands report progress on
-stderr only, keeping stdout machine-clean; STORMER_THREADS caps the worker
-count used by bulk enumeration (default: machine parallelism).
+stderr only, keeping stdout machine-clean.  Bulk enumeration runs in one
+process, as one sieve of x^2 + 1 by the roots +-S(p).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def stormer_list(limit: int, convention: str | None, fmt: str, out: str | None) 
     try:
         if limit >= 10**5:
             click.echo(f"enumerating Stormer numbers up to {limit}...", err=True)
-        values = stormer.enumerate_stormer(limit, conv, workers=stormer.default_workers())
+        values = stormer.enumerate_stormer(limit, conv)
     except ValueError as exc:
         _domain_error(exc)
     if fmt == "json":
@@ -194,15 +194,12 @@ def density_cmd(limits: str, measure: str, fmt: str, out: str | None) -> None:
         raise click.UsageError(f"--limits must be a comma-separated list of integers, got {limits!r}")
     if not parsed or any(n <= 0 for n in parsed) or parsed != sorted(parsed):
         raise click.UsageError("--limits must be positive and ascending")
-    workers = stormer.default_workers()
-    rows = []
-    for limit in parsed:
-        if limit >= 10**5:
-            click.echo(f"counting up to {limit}...", err=True)
-        if measure == "large-factor":
-            rows.append(density_mod.count_large_factor(limit, workers=workers))
-        else:
-            rows.append(density_mod.count_stormer(limit, Convention(measure), workers=workers))
+    if parsed[-1] >= 10**5:
+        click.echo(f"counting up to {parsed[-1]}...", err=True)
+    try:
+        rows = density_mod.density_sweep(parsed, measure)
+    except ValueError as exc:
+        _domain_error(exc)
     if fmt == "json":
         _emit(
             _as_json(

@@ -14,20 +14,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
+from typing import Sequence
 
 from . import arith
-from .stormer import Convention, enumerate_stormer
+from .stormer import Convention, _largest_prime_factors, _meets
 
 __all__ = [
     "DensityReport",
     "count_large_factor",
     "count_stormer",
+    "density_sweep",
     "heuristic_probability",
     "mertens_gap",
 ]
 
 LN2 = math.log(2)
+
+# x counts under a measure when the largest prime factor of x**2 + 1 is at
+# least slope*x + offset.
+_MEASURES = {"strict": (2, 1), "inclusive": (2, 0), "large-factor": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -44,56 +49,48 @@ class DensityReport:
         return DensityReport(limit, count, ratio, abs(ratio - LN2), measure)
 
 
+def density_sweep(limits: Sequence[int], measure: str = "inclusive") -> list[DensityReport]:
+    """One report per limit, for ascending positive limits.
+
+    ``measure`` is "inclusive" or "strict" (Stormer numbers under that
+    convention) or "large-factor".  Every count is read from one sieve of
+    x**2 + 1 up to the largest limit, and each x is tested once.
+    """
+    if measure not in _MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
+    if not limits or limits[0] < 1 or list(limits) != sorted(limits):
+        raise ValueError(f"expected ascending limits >= 1, got {list(limits)}")
+    slope, offset = _MEASURES[measure]
+    table = _largest_prime_factors(limits[-1])
+    reports, count, lo = [], 0, 1
+    for limit in limits:
+        count += sum(_meets(table, lo, limit, slope, offset))
+        reports.append(DensityReport.build(limit, count, measure))
+        lo = limit + 1
+    return reports
+
+
 def count_stormer(
     limit: int,
     convention: Convention = Convention.INCLUSIVE,
     *,
     workers: int = 1,
 ) -> DensityReport:
-    """Exact count of Stormer numbers <= limit under the given convention."""
-    if limit < 1:
-        raise ValueError(f"expected limit >= 1, got {limit}")
-    count = len(enumerate_stormer(limit, convention, workers=workers))
-    return DensityReport.build(limit, count, convention.value)
+    """Exact count of Stormer numbers <= limit under the given convention.
 
-
-def _large_factor_hits(args: tuple[int, int]) -> int:
-    lo, hi = args
-    lpf = arith.largest_prime_factor
-    return sum(1 for x in range(lo, hi) if lpf(x * x + 1) > x)
+    ``workers`` is accepted for compatibility and ignored.
+    """
+    return density_sweep([limit], convention.value)[0]
 
 
 def count_large_factor(limit: int, *, workers: int = 1) -> DensityReport:
     """Count of x <= limit whose x**2 + 1 has a prime factor > x.
 
     A weaker threshold than the Stormer condition 2x+1; both counts have
-    conjectural density ln 2.
+    conjectural density ln 2.  ``workers`` is accepted for compatibility and
+    ignored.
     """
-    if limit < 1:
-        raise ValueError(f"expected limit >= 1, got {limit}")
-    workers = min(workers, limit // 2000 + 1)
-    if workers <= 1:
-        count = _large_factor_hits((1, limit + 1))
-    else:
-        bounds = [1 + (limit * k) // workers for k in range(workers + 1)]
-        bounds[-1] = limit + 1
-        with get_context("fork").Pool(workers) as pool:
-            count = sum(pool.map(_large_factor_hits, [(bounds[k], bounds[k + 1]) for k in range(workers)]))
-    return DensityReport.build(limit, count, "large-factor")
-
-
-class _KahanSum:
-    """Compensated summation; keeps ~1 ulp accuracy over many terms."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+    return density_sweep([limit], "large-factor")[0]
 
 
 def _primes_in(lo: int, hi: int):
@@ -121,15 +118,11 @@ def heuristic_probability(x0: int) -> float:
 
     Under the heuristic that each residue in (1, (p-1)/2] is equally likely
     to be S(p), this is the chance that x0 is a Stormer number; it tends to
-    ln 2 as x0 grows.  Evaluated with compensated summation.
+    ln 2 as x0 grows.  Summed exactly rounded with ``math.fsum``.
     """
     if x0 <= 1:
         raise ValueError(f"expected x0 >= 2, got {x0}")
-    acc = _KahanSum()
-    for p in _primes_in(2 * x0 + 1, x0 * x0 + 1):
-        if p % 4 == 1:
-            acc.add(2.0 / (p - 1))
-    return acc.total
+    return math.fsum(2.0 / (p - 1) for p in _primes_in(2 * x0 + 1, x0 * x0 + 1) if p % 4 == 1)
 
 
 def mertens_gap(x: int) -> float:
@@ -140,7 +133,4 @@ def mertens_gap(x: int) -> float:
     """
     if x < 3:
         raise ValueError(f"expected x >= 3, got {x}")
-    acc = _KahanSum()
-    for p in _primes_in(2, x):
-        acc.add(1.0 / p)
-    return acc.total - math.log(math.log(x))
+    return math.fsum(1.0 / p for p in _primes_in(2, x)) - math.log(math.log(x))

@@ -284,7 +284,8 @@ def _flatten_step(a: int, b: int) -> tuple[GaussianInt, GaussianInt]:
     _, _, c, d = pool[0]
     m = GaussianInt(c, d)
     w = GaussianInt(a, b) * m
-    assert abs(w.im) == 1
+    if abs(w.im) != 1:
+        raise ArithmeticError(f"flattening {GaussianInt(a, b)} by {m} gave {w}, not of the form e +- i")
     return m, w
 
 

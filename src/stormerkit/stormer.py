@@ -10,10 +10,11 @@ admits x0 = 1.
 
 from __future__ import annotations
 
-import os
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from multiprocessing import get_context
+from itertools import compress, islice
+from operator import ge
 
 from . import arith
 
@@ -83,7 +84,12 @@ def stormer_of_prime(p: int) -> StormerPair:
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"{p} % 4 != 1, so x^2 == -1 (mod {p}) has no solution")
-    x = arith.sqrt_minus_one_mod_p(p)
+    return _pair(p)
+
+
+def _pair(p: int) -> StormerPair:
+    """(p, S(p)) for p already known to be a prime == 1 (mod 4)."""
+    x = arith._sqrt_minus_one(p)
     return StormerPair(p, min(x, p - x))
 
 
@@ -98,28 +104,39 @@ def check_factor_residues(x0: int) -> bool:
     return all(p == 2 or p % 4 == 1 for p in arith.factorize(x0 * x0 + 1).primes())
 
 
-def _range_hits(args: tuple[int, int, str]) -> list[int]:
-    """Stormer numbers in [lo, hi), by per-candidate factorization."""
-    lo, hi, convention_value = args
-    convention = Convention(convention_value)
-    lpf = arith.largest_prime_factor
-    hits = []
-    for x in range(max(lo, 1), hi):
-        if x == 1:
-            if convention is Convention.INCLUSIVE:
-                hits.append(1)
-            continue
-        if lpf(x * x + 1) >= 2 * x + 1:
-            hits.append(x)
-    return hits
+def _largest_prime_factors(limit: int) -> array:
+    """Table t with t[x] the largest prime factor of x**2 + 1 for 1 <= x <= limit.
+
+    One sieve over the values x**2 + 1, with no candidate factored on its
+    own.  The only primes dividing x**2 + 1 are 2, for odd x, and the primes
+    p == 1 (mod 4) with x == +-S(p) (mod p), so walking those two residues
+    with stride p finds every multiple of p.  Primes are taken in ascending
+    order and divided out as often as they go; an entry that drops to 1
+    becomes the prime that emptied it, which is then its largest.  After
+    every p <= limit, an entry still above 1 is a single prime > limit (two
+    would exceed limit**2 + 1), so every entry is exact.
+    """
+    if limit >= 1 << 32:
+        raise ValueError(f"limit {limit} is too large: x**2 + 1 must fit in 64 bits")
+    # x**2 + 1 == 2 (mod 4) for odd x, so one shift takes out the prime 2.
+    t = array("Q", ((x * x + 1) >> (x & 1) for x in range(limit + 1)))
+    if limit >= 1:
+        t[1] = 2
+    stop = limit + 1
+    for pair in prime_stormer_table(limit):
+        p = pair.p
+        for start in (pair.x0, p - pair.x0):
+            for x in range(start, stop, p):
+                v = t[x] // p
+                while v % p == 0:
+                    v //= p
+                t[x] = v if v > 1 else p
+    return t
 
 
-def default_workers() -> int:
-    """Worker count for bulk enumeration: STORMER_THREADS, else CPU count."""
-    env = os.environ.get("STORMER_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _meets(table: array, lo: int, hi: int, slope: int, offset: int):
+    """For lo <= x <= hi in turn, whether table[x] >= slope*x + offset."""
+    return map(ge, islice(table, lo, hi + 1), range(slope * lo + offset, slope * (hi + 1) + offset, slope))
 
 
 def enumerate_stormer(
@@ -130,29 +147,17 @@ def enumerate_stormer(
 ) -> list[int]:
     """Ascending list of all Stormer numbers <= limit.
 
-    Each candidate x is tested by factoring x**2 + 1.  With ``workers > 1``
-    the range is split across processes; the result is identical to the
-    sequential one.
+    The largest prime factor of every x**2 + 1 comes from one sieve by the
+    roots +-S(p) of the primes p <= limit.  ``workers`` is accepted for
+    compatibility and ignored.
     """
     if limit < 1:
         return []
-    workers = min(workers, limit // 2000 + 1)
-    if workers <= 1:
-        return _range_hits((1, limit + 1, convention.value))
-    bounds = [1 + (limit * k) // workers for k in range(workers + 1)]
-    bounds[-1] = limit + 1
-    chunks = [(bounds[k], bounds[k + 1], convention.value) for k in range(workers)]
-    with get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_range_hits, chunks)
-    return [x for part in parts for x in part]
+    table = _largest_prime_factors(limit)
+    # _threshold(x, convention) == 2*x + _threshold(0, convention)
+    return list(compress(range(1, limit + 1), _meets(table, 1, limit, 2, _threshold(0, convention))))
 
 
 def prime_stormer_table(prime_limit: int) -> list[StormerPair]:
     """All pairs (p, S(p)) for primes p == 1 (mod 4) up to prime_limit."""
-    if prime_limit < 5:
-        return []
-    if prime_limit <= arith._PRIME_TABLE_LIMIT:
-        primes = [p for p in arith.prime_table() if p <= prime_limit]
-    else:
-        primes = arith.sieve_primes(prime_limit)
-    return [stormer_of_prime(p) for p in primes if p % 4 == 1]
+    return [_pair(p) for p in arith.sieve_primes(prime_limit) if p % 4 == 1]

@@ -89,5 +89,6 @@ def two_squares(p: int) -> TwoSquares:
     half = qs[: len(qs) // 2]
     a = continuant(half)
     b = continuant(half[:-1])
-    assert a * a + b * b == p and gcd(a, b) == 1
+    if a * a + b * b != p or gcd(a, b) != 1:
+        raise ArithmeticError(f"continuants {a}, {b} of {half} do not give {p} as a sum of coprime squares")
     return TwoSquares(p, a, b, tuple(qs), x0)

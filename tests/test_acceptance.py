@@ -83,9 +83,9 @@ def test_criterion_03_table3(stormer_to_1e6) -> None:
         assert matched, f"no measure reproduces the reference count {reference} at {limit}: {counts}"
         assert expected_measure in matched
         matches.append(f"{limit}:{reference}={'/'.join(matched)}")
-    assert enum_seconds < 300
+    assert enum_seconds < 30  # one sieve by the roots +-S(p); per-candidate factoring took ~75 s
     _report(3, f"reference counts reproduced ({'; '.join(matches)}) with the 10^6 pass in "
-               f"{enum_seconds:.0f}s; no single measure fits all five rows")
+               f"{enum_seconds:.1f}s; no single measure fits all five rows")
 
 
 def test_criterion_04_density_proxy(stormer_to_1e6) -> None:

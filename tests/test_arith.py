@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stormerkit import arith
 from stormerkit.arith import (
     GaussianInt,
     extended_gcd,
@@ -218,6 +219,13 @@ def test_sqrt_minus_one_rejects_bad_inputs() -> None:
         sqrt_minus_one_mod_p(21)  # composite
     with pytest.raises(ValueError):
         sqrt_minus_one_mod_p(2)
+
+
+def test_sqrt_minus_one_core_raises_without_a_root() -> None:
+    # The unchecked core behind sqrt_minus_one_mod_p must fail loudly, not
+    # return a wrong root, when handed a number that is not a prime 1 mod 4.
+    with pytest.raises(ArithmeticError):
+        arith._sqrt_minus_one(21)
 
 
 def test_sqrt_minus_one_mod_p_bulk() -> None:

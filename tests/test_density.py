@@ -9,6 +9,7 @@ from stormerkit.density import (
     LN2,
     count_large_factor,
     count_stormer,
+    density_sweep,
     heuristic_probability,
     mertens_gap,
 )
@@ -53,6 +54,28 @@ def test_count_monotone() -> None:
 def test_count_parallel_matches_sequential() -> None:
     assert count_stormer(20000, workers=2).count == count_stormer(20000).count
     assert count_large_factor(20000, workers=2).count == count_large_factor(20000).count
+
+
+def test_density_sweep_matches_single_limits() -> None:
+    limits = [1, 7, 7, 100, 1000]
+    singles = {
+        "inclusive": lambda n: count_stormer(n).count,
+        "strict": lambda n: count_stormer(n, Convention.STRICT).count,
+        "large-factor": lambda n: count_large_factor(n).count,
+    }
+    for measure, single in singles.items():
+        reports = density_sweep(limits, measure)
+        assert [r.limit for r in reports] == limits
+        assert {r.measure for r in reports} == {measure}
+        assert [r.count for r in reports] == [single(n) for n in limits]
+
+
+def test_density_sweep_rejects_bad_input() -> None:
+    for limits in ([], [0, 5], [10, 5]):
+        with pytest.raises(ValueError):
+            density_sweep(limits)
+    with pytest.raises(ValueError):
+        density_sweep([10], "largest")
 
 
 def _direct_heuristic(x0: int) -> float:

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
-import pytest
+from functools import cache
 
-from stormerkit.arith import is_prime
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stormerkit.arith import is_prime, largest_prime_factor
+from stormerkit.density import count_large_factor
 from stormerkit.stormer import (
     Convention,
+    _largest_prime_factors,
     check_factor_residues,
     enumerate_stormer,
     is_stormer,
@@ -89,6 +95,45 @@ def test_enumerate_parallel_matches_sequential() -> None:
     seq = enumerate_stormer(30000, Convention.INCLUSIVE)
     par = enumerate_stormer(30000, Convention.INCLUSIVE, workers=2)
     assert seq == par
+
+
+def test_sieve_table_matches_factoring() -> None:
+    limit = 2 * 10**4
+    table = _largest_prime_factors(limit)
+    assert len(table) == limit + 1
+    assert all(table[x] == largest_prime_factor(x * x + 1) for x in range(1, limit + 1))
+
+
+@cache
+def _per_candidate(limit: int = 3000) -> list[tuple[int, bool, bool]]:
+    """(largest prime factor of x^2+1, strict verdict, inclusive verdict) for x = 1..limit."""
+    return [
+        (
+            largest_prime_factor(x * x + 1),
+            is_stormer(x, Convention.STRICT).is_stormer,
+            is_stormer(x, Convention.INCLUSIVE).is_stormer,
+        )
+        for x in range(1, limit + 1)
+    ]
+
+
+@settings(deadline=None)  # the first example builds the cached oracle
+@given(st.integers(1, 3000))
+@example(1)
+@example(2)
+@example(3)
+@example(5)
+def test_sieve_measures_match_per_candidate_oracle(limit: int) -> None:
+    rows = list(enumerate(_per_candidate()[:limit], start=1))
+    assert list(_largest_prime_factors(limit))[1:] == [lpf for _, (lpf, _, _) in rows]
+    assert enumerate_stormer(limit, Convention.STRICT) == [x for x, (_, strict, _) in rows if strict]
+    assert enumerate_stormer(limit, Convention.INCLUSIVE) == [x for x, (_, _, inc) in rows if inc]
+    assert count_large_factor(limit).count == sum(1 for x, (lpf, _, _) in rows if lpf > x)
+
+
+def test_sieve_rejects_limits_past_64_bits() -> None:
+    with pytest.raises(ValueError):
+        enumerate_stormer(1 << 32)
 
 
 def test_prime_table_first_row() -> None:
