@@ -1,10 +1,11 @@
 """Exact integer and Gaussian-integer arithmetic.
 
 Everything in this package reduces to a handful of primitives implemented
-here: deterministic primality testing, integer factorization (trial division
-plus Brent's variant of Pollard rho), the extended Euclidean algorithm,
-square roots of -1 modulo a prime, and exact arithmetic in Z[i] including
-factorization into Gaussian primes.
+here: the one prime sieve (segmented Eratosthenes), deterministic primality
+testing, integer factorization (trial division plus Brent's variant of
+Pollard rho), the extended Euclidean algorithm, square roots of -1 modulo a
+prime, and exact arithmetic in Z[i] including factorization into Gaussian
+primes.
 
 Plain Python ints serve as the arbitrary-precision integer type and
 ``fractions.Fraction`` as the rational type; both are exact.
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import compress
+from typing import Iterator
 
 __all__ = [
     "GaussianInt",
@@ -57,27 +60,45 @@ _MR_FALLBACK = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, by a bytearray sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, b in enumerate(sieve) if b]
+    """All primes <= limit, by the segmented sieve of :func:`_primes_between`."""
+    return list(_primes_between(2, limit))
+
+
+# Integers crossed off at a time by _primes_between.  One segment is one
+# bytearray of this many bytes, which bounds the sieve's memory for any window.
+_SEGMENT = 1 << 20
+
+
+def _primes_between(lo: int, hi: int) -> Iterator[int]:
+    """Yield the primes p with lo <= p <= hi in ascending order.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, 1977): the window is
+    taken _SEGMENT integers at a time, and each segment is crossed off by
+    the primes up to isqrt(hi) from max(p*p, the first multiple of p in the
+    segment).  The generator is lazy, so memory stays bounded for any hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return
+    base = sieve_primes(math.isqrt(hi))
+    for start in range(lo, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        seg = bytearray([1]) * (stop - start)
+        for p in base:
+            if p * p >= stop:
+                break
+            first = max(p * p, -(-start // p) * p)
+            seg[first - start :: p] = bytes(len(range(first, stop, p)))
+        yield from compress(range(start, stop), seg)
 
 
 _PRIME_TABLE_LIMIT = 10**6
-_prime_table: list[int] | None = None
 
 
+@cache
 def prime_table() -> list[int]:
     """The shared prime table up to 10**6, built once and then immutable."""
-    global _prime_table
-    if _prime_table is None:
-        _prime_table = sieve_primes(_PRIME_TABLE_LIMIT)
-    return _prime_table
+    return sieve_primes(_PRIME_TABLE_LIMIT)
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
@@ -171,14 +192,7 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 # enough: rho handles any cofactor this package meets (values <= ~1e13), and
 # full-table trial division would slow every single-number query.
 _TRIAL_LIMIT = 1000
-_trial_primes: list[int] | None = None
-
-
-def _trial_table() -> list[int]:
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = sieve_primes(_TRIAL_LIMIT)
-    return _trial_primes
+_TRIAL_PRIMES = tuple(sieve_primes(_TRIAL_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ def factorize(n: int) -> PrimeFactorization:
     if n <= 0:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     found: dict[int, int] = {}
-    for p in _trial_table():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -219,29 +233,11 @@ def factorize(n: int) -> PrimeFactorization:
 
 
 def largest_prime_factor(n: int) -> int:
-    """Largest prime factor of n >= 2.
-
-    Same machinery as :func:`factorize` but skips exponent bookkeeping; this
-    is how a single Stormer candidate is tested.
-    """
+    """Largest prime factor of n >= 2, read from :func:`factorize`; this is
+    how a single Stormer candidate is tested."""
     if n < 2:
         raise ValueError(f"largest_prime_factor expects n >= 2, got {n}")
-    best = 1
-    for p in _trial_table():
-        if p * p > n:
-            break
-        if n % p == 0:
-            best = p
-            n //= p
-            while n % p == 0:
-                n //= p
-    if n == 1:
-        return best
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-        return max(best, n)
-    parts: dict[int, int] = {}
-    _factor_into(n, parts)
-    return max(best, max(parts))
+    return factorize(n).largest_prime()
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:

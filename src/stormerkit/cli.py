@@ -90,7 +90,7 @@ def stormer_check(n: int, convention: str | None, fmt: str, out: str | None) -> 
             out,
         )
         return
-    bound = 2 * n + 1 if conv is Convention.STRICT else 2 * n
+    bound = stormer._threshold(n, conv)
     if verdict.is_stormer:
         _emit(
             f"{n} is a Stormer number: largest prime factor of {n}^2+1 is "
@@ -254,8 +254,8 @@ def gregory_verify(identity: str, fmt: str, out: str | None) -> None:
         lhs, rhs = gregory_mod.parse_identity(identity)
     except IdentityParseError as exc:
         raise click.UsageError(str(exc))
-    valid = gregory_mod.verify_identity(lhs, rhs)
     certificate = gregory_mod.identity_certificate(lhs, rhs)
+    valid = gregory_mod._certifies(lhs, rhs, certificate)
     if fmt == "json":
         _emit(
             _as_json(

@@ -70,47 +70,18 @@ def density_sweep(limits: Sequence[int], measure: str = "inclusive") -> list[Den
     return reports
 
 
-def count_stormer(
-    limit: int,
-    convention: Convention = Convention.INCLUSIVE,
-    *,
-    workers: int = 1,
-) -> DensityReport:
-    """Exact count of Stormer numbers <= limit under the given convention.
-
-    ``workers`` is accepted for compatibility and ignored.
-    """
+def count_stormer(limit: int, convention: Convention = Convention.INCLUSIVE) -> DensityReport:
+    """Exact count of Stormer numbers <= limit under the given convention."""
     return density_sweep([limit], convention.value)[0]
 
 
-def count_large_factor(limit: int, *, workers: int = 1) -> DensityReport:
+def count_large_factor(limit: int) -> DensityReport:
     """Count of x <= limit whose x**2 + 1 has a prime factor > x.
 
     A weaker threshold than the Stormer condition 2x+1; both counts have
-    conjectural density ln 2.  ``workers`` is accepted for compatibility and
-    ignored.
+    conjectural density ln 2.
     """
     return density_sweep([limit], "large-factor")[0]
-
-
-def _primes_in(lo: int, hi: int):
-    """Yield primes in [lo, hi] via a segmented sieve."""
-    if hi < 2:
-        return
-    lo = max(lo, 2)
-    base = arith.sieve_primes(math.isqrt(hi))
-    span = 1 << 20
-    for start in range(lo, hi + 1, span):
-        stop = min(start + span - 1, hi)
-        seg = bytearray([1]) * (stop - start + 1)
-        for p in base:
-            if p * p > stop:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            seg[first - start :: p] = bytearray(len(range(first, stop + 1, p)))
-        for i, alive in enumerate(seg):
-            if alive and start + i >= 2:
-                yield start + i
 
 
 def heuristic_probability(x0: int) -> float:
@@ -122,7 +93,7 @@ def heuristic_probability(x0: int) -> float:
     """
     if x0 <= 1:
         raise ValueError(f"expected x0 >= 2, got {x0}")
-    return math.fsum(2.0 / (p - 1) for p in _primes_in(2 * x0 + 1, x0 * x0 + 1) if p % 4 == 1)
+    return math.fsum(2.0 / (p - 1) for p in arith._primes_between(2 * x0 + 1, x0 * x0 + 1) if p % 4 == 1)
 
 
 def mertens_gap(x: int) -> float:
@@ -133,4 +104,4 @@ def mertens_gap(x: int) -> float:
     """
     if x < 3:
         raise ValueError(f"expected x >= 3, got {x}")
-    return math.fsum(1.0 / p for p in _primes_in(2, x)) - math.log(math.log(x))
+    return math.fsum(1.0 / p for p in arith._primes_between(2, x)) - math.log(math.log(x))

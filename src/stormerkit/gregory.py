@@ -231,7 +231,12 @@ def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
     which proves equality modulo 2*pi.  Stage 2: the double-precision
     difference must be tiny, which pins the multiple of 2*pi to zero.
     """
-    product = identity_certificate(lhs, rhs)
+    return _certifies(lhs, rhs, identity_certificate(lhs, rhs))
+
+
+def _certifies(lhs: GregoryCombo, rhs: GregoryCombo, product: GaussianInt) -> bool:
+    """Both stages of :func:`verify_identity`, given ``product``, the
+    :func:`identity_certificate` of lhs = rhs, already built."""
     if product.im != 0 or product.re <= 0:
         return False
     return abs((lhs - rhs).value()) < _NUMERIC_TOL

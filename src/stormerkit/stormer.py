@@ -139,17 +139,11 @@ def _meets(table: array, lo: int, hi: int, slope: int, offset: int):
     return map(ge, islice(table, lo, hi + 1), range(slope * lo + offset, slope * (hi + 1) + offset, slope))
 
 
-def enumerate_stormer(
-    limit: int,
-    convention: Convention = Convention.INCLUSIVE,
-    *,
-    workers: int = 1,
-) -> list[int]:
+def enumerate_stormer(limit: int, convention: Convention = Convention.INCLUSIVE) -> list[int]:
     """Ascending list of all Stormer numbers <= limit.
 
     The largest prime factor of every x**2 + 1 comes from one sieve by the
-    roots +-S(p) of the primes p <= limit.  ``workers`` is accepted for
-    compatibility and ignored.
+    roots +-S(p) of the primes p <= limit.
     """
     if limit < 1:
         return []

@@ -46,7 +46,7 @@ def _report(num: int, message: str) -> None:
 @pytest.fixture(scope="session")
 def stormer_to_1e6() -> tuple[list[int], float]:
     start = time.time()
-    values = enumerate_stormer(10**6, Convention.INCLUSIVE, workers=2)
+    values = enumerate_stormer(10**6, Convention.INCLUSIVE)
     return values, time.time() - start
 
 

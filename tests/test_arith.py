@@ -45,6 +45,42 @@ def test_is_prime_matches_sympy_on_randoms() -> None:
         assert is_prime(n) == sympy.isprime(n)
 
 
+# --- prime sieve ---------------------------------------------------------------
+
+_SEGMENT = arith._SEGMENT
+
+
+@pytest.mark.parametrize(
+    ("lo", "hi"),
+    [(lo, hi) for lo in (0, 1, 2, 3) for hi in (2, 3, 4)]
+    + [(5, 4), (3, 0), (0, -7)]
+    # Windows across the segment edges at lo + 2**20 and lo + 2 * 2**20.
+    # 2**20 + 7 is prime: a segment one short drops it from the first
+    # segment (lo = 8), one too long yields it twice (lo = 7).
+    + [(0, 2 * _SEGMENT + 64), (7, 2 * _SEGMENT + 64), (8, 2 * _SEGMENT + 64), (_SEGMENT - 3, 3 * _SEGMENT)]
+    + [(_SEGMENT - 64, _SEGMENT + 64), (2 * _SEGMENT - 64, 2 * _SEGMENT + 64)],
+)
+def test_primes_between_matches_sympy(lo: int, hi: int) -> None:
+    assert list(arith._primes_between(lo, hi)) == list(sympy.sieve.primerange(lo, hi + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 5000), st.sampled_from([2, 7, 64, _SEGMENT]))
+def test_primes_between_property(a: int, b: int, segment: int) -> None:
+    # Short segments put many segment edges inside a small window.
+    lo, hi = min(a, b), max(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SEGMENT", segment)
+        found = list(arith._primes_between(lo, hi))
+    assert found == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_sieve_primes_small_limits() -> None:
+    assert [sieve_primes(n) for n in (-3, 0, 1, 2, 3, 4)] == [[], [], [], [2], [2, 3], [2, 3]]
+    assert arith.prime_table() is arith.prime_table()
+    assert arith.prime_table()[-1] == 999983 and len(arith.prime_table()) == 78498
+
+
 # --- factorization -------------------------------------------------------------
 
 def test_factorize_examples() -> None:
@@ -82,7 +118,11 @@ def test_largest_prime_factor() -> None:
     rng = random.Random(3)
     for _ in range(200):
         n = rng.randrange(2, 10**12)
-        assert largest_prime_factor(n) == factorize(n).largest_prime()
+        assert largest_prime_factor(n) == max(sympy.factorint(n))
+    # x**2 + 1 of 40 to 80 bits, the values a single Stormer query factors
+    for bits in (20, 25, 30, 35, 40):
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert largest_prime_factor(x * x + 1) == max(sympy.factorint(x * x + 1)), x
     with pytest.raises(ValueError):
         largest_prime_factor(1)
 

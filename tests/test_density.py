@@ -51,11 +51,6 @@ def test_count_monotone() -> None:
     assert counts == sorted(counts)
 
 
-def test_count_parallel_matches_sequential() -> None:
-    assert count_stormer(20000, workers=2).count == count_stormer(20000).count
-    assert count_large_factor(20000, workers=2).count == count_large_factor(20000).count
-
-
 def test_density_sweep_matches_single_limits() -> None:
     limits = [1, 7, 7, 100, 1000]
     singles = {

@@ -91,12 +91,6 @@ def test_enumerate_strict_drops_only_one() -> None:
     assert strict == [x for x in TABLE2 if x != 1]
 
 
-def test_enumerate_parallel_matches_sequential() -> None:
-    seq = enumerate_stormer(30000, Convention.INCLUSIVE)
-    par = enumerate_stormer(30000, Convention.INCLUSIVE, workers=2)
-    assert seq == par
-
-
 def test_sieve_table_matches_factoring() -> None:
     limit = 2 * 10**4
     table = _largest_prime_factors(limit)
