@@ -80,7 +80,7 @@ def _primes_between(lo: int, hi: int) -> Iterator[int]:
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = sieve_primes(math.isqrt(hi))
+    base = list(_primes_between(2, math.isqrt(hi)))
     for start in range(lo, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT, hi + 1)
         seg = bytearray([1]) * (stop - start)

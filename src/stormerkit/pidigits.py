@@ -1,11 +1,19 @@
 """Arbitrary-precision evaluation of Gregory series and Machin-like formulas.
 
 Values are scaled integers in base 10 (mantissa / 10**(scale+guard)), so
-decimal digits fall straight out of the representation.  A series for
-arctan(b/a) is summed by the recurrence term' = term * b**2 // a**2 with the
-odd divisor applied at use, one exact division per term; the alternating
-series bound keeps the truncation error below the first omitted term, and
-guard digits absorb the floor-division dust.
+decimal digits fall straight out of the representation.  One evaluator,
+:func:`_arctan`, sums the Gregory series for arctan(b/a) over a given number
+of terms by binary splitting (Haible & Papanikolaou, "Fast multiprecision
+evaluation of series of rational numbers", 1998), with every product kept
+at the output width and one division at the end, so the cost is a few
+full-width multiplications rather than a full-width pass per term.  The term
+count comes in closed form from the alternating-series bound, and the
+result is rounded toward the limit: it never lies beyond the partial sum on
+the side away from arctan(b/a).
+
+One error bound covers every series: the first omitted term plus
+:data:`_DUST` units of the last place.  :func:`tail_correct_digits` reports
+from it; the guard digits keep it well below the published digits.
 
 Digit correctness is certified by agreement between independently verified
 formulas rather than by a stored reference constant.
@@ -38,22 +46,34 @@ FORMULAS: dict[str, GregoryCombo] = {
 }
 
 
-# int-to-str chunking that stays below the interpreter's conversion guard
+# Largest piece handed to str(), well below the interpreter's conversion guard.
 _CHUNK_DIGITS = 1000
 _CHUNK = 10**_CHUNK_DIGITS
 
 
 def _decimal_digits(n: int) -> str:
-    """Decimal digits of n >= 0, safe for values beyond the str() guard."""
+    """Decimal digits of n >= 0, for values of any size.
+
+    Divide and conquer: n is split by powers[k] = 10**(_CHUNK_DIGITS * 2**k),
+    largest k first, and each half is written zero-padded to its full width,
+    so str() only ever sees pieces below 10**_CHUNK_DIGITS.
+    """
     if n < _CHUNK:
         return str(n)
-    parts = []
-    while n:
-        n, rem = divmod(n, _CHUNK)
-        parts.append(rem)
-    head = str(parts[-1])
-    tail = [str(p).rjust(_CHUNK_DIGITS, "0") for p in reversed(parts[:-1])]
-    return head + "".join(tail)
+    powers = [_CHUNK]
+    square = _CHUNK * _CHUNK
+    while square <= n:
+        powers.append(square)
+        square *= square
+
+    def padded(m: int, k: int) -> str:
+        # m < powers[k]**2, written as exactly _CHUNK_DIGITS * 2**(k+1) digits
+        if k < 0:
+            return str(m).zfill(_CHUNK_DIGITS)
+        high, low = divmod(m, powers[k])
+        return padded(high, k - 1) + padded(low, k - 1)
+
+    return padded(n, len(powers) - 1).lstrip("0")
 
 
 @dataclass(frozen=True)
@@ -96,31 +116,147 @@ class PiResult:
     requested_digits: int
 
 
-def _series_mantissa(a: int, b: int, scale: int, max_terms: int | None) -> tuple[int, int]:
-    """(mantissa, terms) for arctan(b/a) * 10**scale, truncated after
-    max_terms or once a term underflows the scale."""
+# Bound on |_arctan(a, b, scale, n) - 10**scale * S_n| in units of
+# 10**-scale, S_n being the exact partial sum: truncation plus rounding.
+_DUST = 2
+
+
+# Terms merged one at a time, exactly, at the leaves of the splitting.
+_LEAF = 16
+
+
+def _split(a2: int, b2: int, lo: int, hi: int, width: int, drop: int) -> tuple[int, int, int]:
+    """(P, Q, T) for terms lo..hi-1 of the sum of c_k, where c_0 = 1 and
+    c_k / c_(k-1) = p_k / q_k = -(2k-1) b2 / ((2k+1) a2).
+
+    P / Q is the product of p_j / q_j over the range and T / Q the sum of
+    its partial products; halves merge as P1*P2, Q1*Q2, T1*Q2 + P1*T2.  A
+    node whose Q passes its width is shifted right, all three together.  The
+    node enters the whole sum multiplied by |c_(lo-1)| <= (b2/a2)**(lo-1),
+    and (a2/b2)**16 >= 2**drop, so its width shrinks by drop bits every 16
+    terms (never below 32): each shift then moves the whole sum by less than
+    8 * 2**-width.  Leaves of up to _LEAF terms are summed exactly.
+    """
+    if hi - lo <= _LEAF:
+        p, q, t = 1, 1, 0
+        for k in range(lo, hi):
+            pk, qk = (-(2 * k - 1) * b2, (2 * k + 1) * a2) if k else (1, 1)
+            p, q, t = p * pk, q * qk, t * qk + p * pk
+        return p, q, t
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(a2, b2, lo, mid, width, drop)
+    p2, q2, t2 = _split(a2, b2, mid, hi, width, drop)
+    p, q, t = p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    shift = q.bit_length() - max(width - drop * (max(lo - 1, 0) // 16), 32)
+    if shift > 0:
+        p, q, t = p >> shift, q >> shift, t >> shift
+    return p, q, t
+
+
+def _arctan(a: int, b: int, scale: int, n: int) -> int:
+    """10**scale times S_n, the sum of the first n terms of the Gregory
+    series for arctan(b/a), rounded toward arctan(b/a).
+
+    S_n lies above arctan(b/a) for odd n and below it for even n, so the
+    result is S_n minus 1/2 unit floored for odd n, plus 1/2 unit ceiled for
+    even n.  Binary splitting at width W = bits(10**scale) + bits(n) + 5
+    shifts at most n - 1 nodes, each moving the sum by less than 8 * 2**-W,
+    so the result is within _DUST units of 10**scale * S_n, on the side of
+    the limit.
+    """
+    if n <= 0:
+        return 0
+    one = 10**scale
     a2, b2 = a * a, b * b
-    term = 10**scale * b // a
-    total = 0
-    k = 0
-    while term and (max_terms is None or k < max_terms):
-        piece = term // (2 * k + 1)
-        if piece == 0 and max_terms is None:
-            break
-        total += -piece if k & 1 else piece
-        term = term * b2 // a2
-        k += 1
-    return total, k
+    width = one.bit_length() + n.bit_length() + 5
+    drop = (a2**16 // b2**16).bit_length() - 1
+    _, q, t = _split(a2, b2, 0, n, width, drop)
+    # arctan(b/a) ~ (b/a) * T/Q; half a unit is a*q out of den
+    num, den = 2 * one * b * t, 2 * a * q
+    if n & 1:
+        return (num - a * q) // den
+    return -((-num - a * q) // den)
 
 
-def _guard_for(digits: int, est_terms: int) -> int:
-    return 10 + len(_decimal_digits(max(est_terms, 1)))
+def _error_bound(a: int, b: int, scale: int, n: int) -> int:
+    """Units of 10**-scale by which _arctan(a, b, scale, n) may miss
+    10**scale * arctan(b/a): the first omitted term b**(2n+1) / ((2n+1)
+    a**(2n+1)) (alternating-series bound), rounded up, plus _DUST."""
+    k = 2 * n + 1
+    return -(-(10**scale) * b**k // (k * a**k)) + _DUST
 
 
-def _estimate_terms(a: int, b: int, digits: int) -> int:
-    if a == b:
-        return 10**digits  # x = 1: one digit per tenfold terms
-    return int(digits * math.log(10) / (2 * (math.log(a) - math.log(b)))) + 2
+def _first_below(x: int, c1: int, c0: int, a2: int, b2: int) -> int:
+    """The least n >= 0 with x * b2**n < (c1*n + c0) * a2**n, for a2 > b2.
+
+    With f(n) = log(x / (c1*n + c0)) / log(a2/b2), decreasing, the answer
+    is the least n > f(n).  floor(f(floor(f(0)))) lies below it, so one less
+    than its float value is a safe start for exact steps upward.
+    """
+    step = math.log(a2) - math.log(b2)
+    n = 0
+    for _ in range(2):
+        n = max(0, int((math.log(x) - math.log(c1 * n + c0)) / step))
+    n = max(n - 1, 0)
+    lhs, rhs = x * b2**n, a2**n
+    while lhs >= (c1 * n + c0) * rhs:
+        n, lhs, rhs = n + 1, lhs * b2, rhs * a2
+    return n
+
+
+def _term_count(a: int, b: int, scale: int, max_terms: int | None) -> int:
+    """How many terms the series for arctan(b/a) takes at 10**-scale.
+
+    Both stopping rules read the chain t_0 = floor(10**scale * b / a),
+    t_k = floor(t_(k-1) * b**2 / a**2).  Without a cap the series stops at
+    the first k with t_k < 2k + 1, where term k drops below one unit; with a
+    cap it runs to the cap unless t_k reaches 0 first.
+
+    For b = 1 the chain is floor(x_k), x_k = 10**scale * (b/a)**(2k+1), so
+    the first k with x_k below the threshold is the count, in closed form.
+    For b > 1 the floors leave t_k below x_k by less than D = a**2 / (a**2 -
+    b**2), so the chain cannot stop before the first k with x_k within D
+    of the threshold; it is walked only when that k comes before the closed
+    form's count.  The exact powers are about log(a**2) / log(a**2 /
+    b**2) times wider than 10**scale; past 8 times, the chain is walked
+    from the start instead.
+    """
+    if max_terms is not None and (max_terms <= 0 or a == b):
+        return max(max_terms, 0)
+    capped = max_terms is not None
+    a2, b2 = a * a, b * b
+    x = 10**scale * b
+    c1 = 0 if capped else 2 * a
+    if b > 1 and math.log(a2) > 8 * (math.log(a2) - math.log(b2)):
+        first, n = 0, math.inf
+    else:
+        n = _first_below(x, c1, a, a2, b2)
+        u = a2 - b2
+        first = n if b == 1 else _first_below(x * u, c1 * u, a * (u + a2), a2, b2)
+    stop = min(n, max_terms) if capped else n
+    if first < stop:
+        k, t = 0, x // a
+        while k < stop and t >= (1 if capped else 2 * k + 1):
+            k, t = k + 1, t * b2 // a2
+        stop = k
+    return stop
+
+
+def _guard(digits: int, terms: list[ArcTerm], count: int | None = None) -> int:
+    """Guard digits below the published ones: ten, plus the decimal length
+    of a term count, ``count`` if given, else the estimate digits * ln 10 /
+    (2 ln(a/b)) + 2 summed over ``terms`` (10**digits for t_1).
+
+    The guard sets the working scale and with it the term counts reported
+    in ``terms_used``; the error bound it must clear is a few units per
+    series, far below it.
+    """
+    if count is None:
+        count = sum(
+            10**digits if t.re == t.im else int(digits * math.log(10) / (2 * (math.log(t.re) - math.log(t.im)))) + 2
+            for t in terms
+        )
+    return 10 + len(_decimal_digits(max(count, 1)))
 
 
 def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None = None) -> FixedPoint:
@@ -129,8 +265,10 @@ def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None =
 
     Requires a > b >= 1 so the series argument is below one; a = b = 1
     (the series for pi/4 itself) is allowed but converges so slowly that
-    ``max_terms`` is mandatory for it.  The alternating-series bound keeps
-    the truncation error under the first omitted term.
+    ``max_terms`` is mandatory for it.  The value is the partial sum over
+    ``terms_used`` terms rounded toward arctan(b/a), and it is off from
+    arctan(b/a) by at most the first omitted term plus _DUST units of
+    10**-(scale + guard).
     """
     a, b = term.re, term.im
     if precision_digits < 0:
@@ -139,10 +277,10 @@ def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None =
         raise ValueError(f"series argument {b}/{a} is not below one")
     if a == b == 1 and max_terms is None:
         raise ValueError("the series for t_1 needs an explicit term cap")
-    est = max_terms if max_terms is not None else _estimate_terms(a, b, precision_digits)
-    guard = _guard_for(precision_digits, est)
-    mantissa, used = _series_mantissa(a, b, precision_digits + guard, max_terms)
-    return FixedPoint(mantissa, precision_digits, guard, used)
+    guard = _guard(precision_digits, [term], max_terms)
+    scale = precision_digits + guard
+    n = _term_count(a, b, scale, max_terms)
+    return FixedPoint(_arctan(a, b, scale, n), precision_digits, guard, n)
 
 
 _T1_COMBO = GregoryCombo.of_integers({1: 1})
@@ -158,6 +296,28 @@ def _formula_multiple(formula: GregoryCombo) -> int:
     raise ValueError(f"formula does not equal a positive multiple of t1: {formula}")
 
 
+def _pi(formula: GregoryCombo, digits: int, max_terms: int | None) -> tuple[int, int, int, tuple[int, ...]]:
+    """(mantissa, scale, k, terms): pi ~ mantissa / 10**scale from the
+    formula, which equals k * t_1, and the length of each term's series."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    k = _formula_multiple(formula)
+    items = formula.items()
+    if max_terms is None and any(t.re == t.im for t, _ in items):
+        raise ValueError("a formula containing t1 itself needs an explicit term cap")
+    for t, _ in items:
+        if t.im > t.re:
+            raise ValueError(f"series argument {t.im}/{t.re} is not below one")
+    scale = digits + _guard(digits, [t for t, _ in items])
+    total = 0
+    used = []
+    for term, coef in items:
+        n = _term_count(term.re, term.im, scale, max_terms)
+        total += coef * _arctan(term.re, term.im, scale, n)
+        used.append(n)
+    return 4 * total // k, scale, k, tuple(used)
+
+
 def compute_pi(formula: GregoryCombo, digits: int, max_terms: int | None = None) -> PiResult:
     """Digits of pi from a verified Machin-like formula.
 
@@ -165,50 +325,34 @@ def compute_pi(formula: GregoryCombo, digits: int, max_terms: int | None = None)
     exactly); pi is then 4/k times its value.  ``max_terms`` caps every
     term's series individually.  The output carries at least ``digits``
     decimal digits; their correctness is limited by the series tails when
-    ``max_terms`` is set.
+    ``max_terms`` is set (see :func:`tail_correct_digits`).
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    k = _formula_multiple(formula)
-    items = formula.items()
-    if max_terms is None and any(t.re == t.im for t, _ in items):
-        raise ValueError("a formula containing t1 itself needs an explicit term cap")
-    est = sum(_estimate_terms(t.re, t.im, digits) for t, _ in items)
-    guard = _guard_for(digits, est)
-    scale = digits + guard
-    total = 0
-    used = []
-    for term, coef in items:
-        mantissa, n_terms = _series_mantissa(term.re, term.im, scale, max_terms)
-        total += coef * mantissa
-        used.append(n_terms)
-    pi_mantissa = 4 * total // k
-    fixed = FixedPoint(pi_mantissa, digits, guard)
-    text = fixed.decimal_string()
+    mantissa, scale, _, used = _pi(formula, digits, max_terms)
+    text = FixedPoint(mantissa, digits, scale - digits).decimal_string()
     if not text.startswith("3."):
         raise ArithmeticError(f"computed value {text[:12]}... is not pi")
-    return PiResult(formula, text, tuple(used), digits)
+    return PiResult(formula, text, used, digits)
 
 
 def tail_correct_digits(formula: GregoryCombo, digits: int, max_terms: int) -> int:
     """Correct-digit estimate when every series is capped at ``max_terms``.
 
-    Bounds the error by the first omitted term of each series (alternating
-    series bound) plus floor-division dust, and reports how many leading
-    digits that error cannot reach.
+    Takes the value :func:`compute_pi` prints and its error bound (each
+    series' first omitted term plus _DUST), and counts the leading digits
+    after the point on which the truncations of value - error and value +
+    error agree.  Pi lies between the two, so its digits agree there too.
+    Never more than ``digits``.
     """
-    k = _formula_multiple(formula)
-    items = formula.items()
-    est = sum(_estimate_terms(t.re, t.im, digits) for t, _ in items)
-    guard = _guard_for(digits, est)
-    scale = digits + guard
-    err = 0
-    for term, coef in items:
-        a, b = term.re, term.im
-        omitted = 10**scale * b ** (2 * max_terms + 1) // (a ** (2 * max_terms + 1) * (2 * max_terms + 1))
-        err += abs(coef) * (omitted + 2 * max_terms + 4)
-    total = 4 * err // k + 1
-    return min(digits, scale - len(_decimal_digits(total)))
+    mantissa, scale, k, used = _pi(formula, digits, max_terms)
+    bound = sum(abs(c) * _error_bound(t.re, t.im, scale, n) for (t, c), n in zip(formula.items(), used))
+    error = -(-4 * bound // k) + 1  # the final floor division adds at most one unit
+    if error > mantissa:
+        return 0
+    low, high = _decimal_digits(mantissa - error), _decimal_digits(mantissa + error)
+    if len(low) != len(high):  # the integer parts differ
+        return 0
+    agree = next((i for i, (c, d) in enumerate(zip(low, high)) if c != d), len(low))
+    return max(0, min(digits, agree - (len(low) - scale)))
 
 
 def compare_digits(s1: str, s2: str) -> int:

@@ -81,6 +81,21 @@ def test_sieve_primes_small_limits() -> None:
     assert arith.prime_table()[-1] == 999983 and len(arith.prime_table()) == 78498
 
 
+def test_sieve_primes_is_entered_once_per_call(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The base primes come from _primes_between itself, so a wrapper on the
+    # public name (as a tracer installs it) counts outermost calls only.
+    calls = []
+
+    def counting(limit: int) -> list[int]:
+        calls.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr(arith, "sieve_primes", counting)
+    primes = arith.sieve_primes(10**6)
+    assert calls == [10**6]
+    assert len(primes) == 78498 and primes[-1] == 999983
+
+
 # --- factorization -------------------------------------------------------------
 
 def test_factorize_examples() -> None:

@@ -147,6 +147,14 @@ def test_pi_rejects_unverified_formula() -> None:
     assert run("pi", "--formula", "gibberish", "--digits", "20").exit_code == 2
 
 
+def test_pi_rejects_series_argument_above_one() -> None:
+    # t1 = t_{1/2} - t3 holds (arctan 2 - arctan 1/3 = pi/4), but the series
+    # for arctan 2 diverges: a domain error, not a run without end
+    result = run("pi", "--formula", "t1 = t1/2 - t3", "--digits", "5")
+    assert result.exit_code == 3
+    assert "not below one" in result.output
+
+
 def test_outputs_are_deterministic() -> None:
     first = run("gregory", "decompose", "239").output
     second = run("gregory", "decompose", "239").output

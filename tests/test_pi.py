@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import math
+import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from stormerkit import pidigits
 from stormerkit.gregory import ArcTerm, GregoryCombo, verify_identity
 from stormerkit.pidigits import (
     FORMULAS,
+    FixedPoint,
     classical_bounds_check,
     compare_digits,
     compute_pi,
@@ -141,3 +149,136 @@ def test_terms_used_reported_per_term() -> None:
     free = compute_pi(FORMULAS["machin"], 50)
     assert len(free.terms_used) == 2
     assert all(t > 0 for t in free.terms_used)
+
+
+# --- the arctan evaluator against independent oracles ---------------------------
+
+def _mpmath_pi(digits: int) -> str:
+    """pi truncated to ``digits`` places, as "3.…", from mpmath."""
+    with mpmath.workdps(digits + 40):
+        return mpmath.nstr(mpmath.pi, digits + 30, strip_zeros=False)[: digits + 2]
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_compute_pi_matches_mpmath(name: str) -> None:
+    reference = _mpmath_pi(20000)
+    for digits in (1, 2, 11, 1000, 5000, 20000):
+        assert compute_pi(FORMULAS[name], digits).digits == reference[: digits + 2], digits
+
+
+def _partial_sum(a: int, b: int, n: int) -> Fraction:
+    return sum((Fraction((-1) ** k * b ** (2 * k + 1), (2 * k + 1) * a ** (2 * k + 1)) for k in range(n)), Fraction(0))
+
+
+def _reference_count(a: int, b: int, scale: int, max_terms: int | None) -> int:
+    """Series length by the term-at-a-time loop the evaluator replaced: a
+    term underflowing 10**-scale ends an uncapped series, and a capped one
+    runs on until the floored power itself reaches zero."""
+    t = 10**scale * b // a
+    k = 0
+    while t and (max_terms is None or k < max_terms):
+        if t // (2 * k + 1) == 0 and max_terms is None:
+            break
+        t = t * b * b // (a * a)
+        k += 1
+    return k
+
+
+@st.composite
+def _arc_terms(draw) -> ArcTerm:
+    a = draw(st.integers(2, 100))
+    b = draw(st.integers(1, a - 1))
+    assume(math.gcd(a, b) == 1)
+    return ArcTerm(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arc_terms(), st.integers(0, 300), st.none() | st.integers(1, 200))
+@example(ArcTerm(79, 3), 300, None)
+@example(ArcTerm(79, 3), 40, 7)
+@example(ArcTerm(3, 2), 120, 200)
+@example(ArcTerm(2, 1), 0, 1)
+@example(ArcTerm(13, 12), 30, None)  # b/a near one: the chain is walked
+@example(ArcTerm(101, 100), 5, 50)
+@example(ArcTerm(10**200, 1), 10, None)  # a**2 / b**2 overflows a float
+@example(ArcTerm(10**200, 1), 300, 5)
+def test_series_within_stated_bound(term: ArcTerm, prec: int, cap: int | None) -> None:
+    fp = gregory_series(term, prec, cap)
+    a, b, n, scale = term.re, term.im, fp.terms_used, fp.scale + fp.guard
+    assert n == _reference_count(a, b, scale, cap)
+    if cap is not None:
+        # rounded toward the limit: below S_n for odd n, above it for even n
+        exact = 10**scale * _partial_sum(a, b, n)
+        gap = exact - fp.mantissa if n % 2 else fp.mantissa - exact
+        assert 0 <= gap <= pidigits._DUST
+    else:
+        with mpmath.workdps(scale + 30):
+            exact = mpmath.atan(mpmath.mpf(b) / a) * mpmath.mpf(10) ** scale
+            assert abs(fp.mantissa - exact) <= pidigits._error_bound(a, b, scale, n)
+
+
+def test_series_terms_follow_the_floored_chain() -> None:
+    # for b > 1 the floored chain drifts below the exact powers and can stop
+    # a term earlier than the closed form; (3, 2) does so at most scales
+    for a, b in ((3, 2), (4, 3), (11, 7), (79, 3), (13, 12)):
+        for prec in range(0, 160, 3):
+            for cap in (None, 10**6):
+                fp = gregory_series(ArcTerm(a, b), prec, cap)
+                assert fp.terms_used == _reference_count(a, b, fp.scale + fp.guard, cap), (a, b, prec, cap)
+
+
+def _reference_terms(formula: GregoryCombo, digits: int, max_terms: int | None) -> tuple[int, ...]:
+    """Series lengths at the working scale of compute_pi's guard rule."""
+    estimate = sum(
+        10**digits if t.re == t.im else int(digits * math.log(10) / (2 * (math.log(t.re) - math.log(t.im)))) + 2
+        for t, _ in formula.items()
+    )
+    scale = digits + 10 + len(str(max(estimate, 1)))
+    return tuple(_reference_count(t.re, t.im, scale, max_terms) for t, _ in formula.items())
+
+
+@pytest.mark.parametrize("max_terms", [None, 10, 40, 10**6])
+def test_terms_used_matches_reference_loop(max_terms: int | None) -> None:
+    for name, formula in FORMULAS.items():
+        for digits in range(1, 401):
+            got = compute_pi(formula, digits, max_terms).terms_used
+            assert got == _reference_terms(formula, digits, max_terms), (name, digits)
+
+
+def test_tail_estimate_never_exceeds_matching_digits() -> None:
+    # vega at 2000 digits and 1000 terms is off by 6.9e-958, and a borrow
+    # through "...7780..." -> "...7779..." leaves only 955 digits matching
+    reference = _mpmath_pi(2000)
+    vega = compute_pi(FORMULAS["vega"], 2000, 1000).digits
+    assert compare_digits(vega, reference) - 1 == 955
+    assert tail_correct_digits(FORMULAS["vega"], 2000, 1000) == 955
+    assert tail_correct_digits(FORMULAS["machin"], 20, 0) == 0  # no terms: no digit is certain
+    for name, formula in FORMULAS.items():
+        for digits in (11, 50, 160, 2000):
+            for cap in (3, 10, 40, 100, 1000):
+                got = compute_pi(formula, digits, cap).digits
+                matching = compare_digits(got, reference[: digits + 2]) - 1
+                estimate = tail_correct_digits(formula, digits, cap)
+                assert 0 <= estimate <= min(matching, digits), (name, digits, cap)
+
+
+def test_decimal_string_matches_str() -> None:
+    chunk = pidigits._CHUNK_DIGITS
+    rng = random.Random(20261018)
+    cases = [0, 1, 9, 10]
+    for k in (chunk - 1, chunk, chunk + 1, 2 * chunk, 4 * chunk + 3, 12345):
+        cases += [10**k, 10**k - 1, 10**k + 1]
+    # long internal zero runs, straddling the split points
+    cases += [7 * 10**k + 3 for k in (chunk, 2 * chunk - 1, 2 * chunk, 5000, 33333)]
+    cases += [10 ** (2 * chunk) * 123 + 10**chunk * 45 + 6, (10**60000 - 1) // 9 * 10**70000 + 1]
+    cases += [rng.randrange(10 ** (d - 1), 10**d) for d in (1, 2, 999, 1000, 1001, 2001, 4000, 65536, 200000)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in cases:
+            assert pidigits._decimal_digits(n) == str(n), len(str(n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # FixedPoint.decimal_string places the point on the same digits
+    assert FixedPoint(314159 * 10**8995 + 5, 4500, 4500).decimal_string() == "3.14159" + "0" * 4495
+    assert FixedPoint(-(10**3000 * 31416), 3004, 0).decimal_string() == "-3.1416" + "0" * 3000
