@@ -217,8 +217,30 @@ def factorize(n: int) -> PrimeFactorization:
     """Prime factorization of n >= 1; n = 1 gives the empty factorization."""
     if n <= 0:
         raise ValueError(f"factorize expects n >= 1, got {n}")
+    return _trial_factorize(n, _TRIAL_PRIMES)
+
+
+# The primes below _TRIAL_LIMIT that can divide a**2 + b**2 with gcd(a, b) = 1.
+_NORM_TRIAL_PRIMES = tuple(p for p in _TRIAL_PRIMES if p % 4 != 3)
+
+
+def _factorize_norm(n: int) -> PrimeFactorization:
+    """Prime factorization of n = a**2 + b**2 with gcd(a, b) = 1, such as
+    x**2 + 1: the norm of a Gaussian integer of content 1.
+
+    A prime q == 3 (mod 4) dividing a**2 + b**2 would make -1 a square mod
+    q unless q divided both a and b, so only 2 and the primes == 1 (mod 4)
+    are tried.  That skips no possible factor, so the cofactor rule and the
+    rho fallback of :func:`factorize` hold unchanged.
+    """
+    return _trial_factorize(n, _NORM_TRIAL_PRIMES)
+
+
+def _trial_factorize(n: int, primes: tuple[int, ...]) -> PrimeFactorization:
+    """Factor n >= 1 by trial division over ``primes`` (every prime below
+    _TRIAL_LIMIT that can divide n), then Brent rho on a composite cofactor."""
     found: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
+    for p in primes:
         if p * p > n:
             break
         while n % p == 0:
@@ -233,8 +255,7 @@ def factorize(n: int) -> PrimeFactorization:
 
 
 def largest_prime_factor(n: int) -> int:
-    """Largest prime factor of n >= 2, read from :func:`factorize`; this is
-    how a single Stormer candidate is tested."""
+    """Largest prime factor of n >= 2, read from :func:`factorize`."""
     if n < 2:
         raise ValueError(f"largest_prime_factor expects n >= 2, got {n}")
     return factorize(n).largest_prime()
@@ -377,17 +398,15 @@ class GaussianInt:
 
 def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
     """A greatest common divisor of a and b in Z[i] (unique up to units)."""
-    while not b.is_zero():
-        n = b.norm()
-        t = a * b.conjugate()
-        # Nearest-integer quotient keeps the remainder norm below n.
-        q = GaussianInt((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
-        a, b = b, a - q * b
-    return a
-
-
-_UNIT_I = GaussianInt(0, 1)
-_ONE = GaussianInt(1, 0)
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    while br or bi:
+        n = br * br + bi * bi
+        # t = a * conj(b); the nearest-integer quotient keeps the remainder
+        # norm below n.
+        tr, ti = ar * br + ai * bi, ai * br - ar * bi
+        qr, qi = (2 * tr + n) // (2 * n), (2 * ti + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - (qr * br - qi * bi), ai - (qr * bi + qi * br)
+    return GaussianInt(ar, ai)
 
 
 def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[GaussianInt, int], ...]]:
@@ -402,9 +421,25 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
     """
     if z.is_zero():
         raise ValueError("cannot factor 0")
+    n = z.norm()
+    return _gaussian_split(z, _factorize_norm(n) if math.gcd(z.re, z.im) == 1 else factorize(n))
+
+
+def _gaussian_split(
+    z: GaussianInt, norm: PrimeFactorization
+) -> tuple[GaussianInt, tuple[tuple[GaussianInt, int], ...]]:
+    """:func:`gaussian_factorize` of z != 0, given ``norm``, the prime
+    factorization of z.norm().
+
+    A prime p == 1 (mod 4) that does not divide the content gcd(re, im)
+    has exactly one of its two Gaussian primes dividing z (both would put
+    p itself in the content), so that prime is gcd(p, z).  Only a p that
+    divides the content needs a square root of -1 mod p to find the pair.
+    """
+    content = math.gcd(z.re, z.im)
     residual = z
     found: list[tuple[GaussianInt, int]] = []
-    for p, e in factorize(z.norm()).factors:
+    for p, e in norm.factors:
         if p == 2:
             pi = GaussianInt(1, 1)
             for _ in range(e):
@@ -417,9 +452,14 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
                 residual = residual.exact_div(GaussianInt(p, 0))
             found.append((GaussianInt(p, 0), k))
         else:
-            x = sqrt_minus_one_mod_p(p)
-            _, pi = gaussian_gcd(GaussianInt(p, 0), GaussianInt(x, 1)).canonical_associate()
-            for prime in (pi, GaussianInt(pi.im, pi.re)):
+            if content % p:
+                _, pi = gaussian_gcd(GaussianInt(p, 0), z).canonical_associate()
+                pair: tuple[GaussianInt, ...] = (pi,)
+            else:
+                x = sqrt_minus_one_mod_p(p)
+                _, pi = gaussian_gcd(GaussianInt(p, 0), GaussianInt(x, 1)).canonical_associate()
+                pair = (pi, GaussianInt(pi.im, pi.re))
+            for prime in pair:
                 count = 0
                 while prime.divides(residual):
                     residual = residual.exact_div(prime)

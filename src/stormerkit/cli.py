@@ -255,7 +255,7 @@ def gregory_verify(identity: str, fmt: str, out: str | None) -> None:
     except IdentityParseError as exc:
         raise click.UsageError(str(exc))
     certificate = gregory_mod.identity_certificate(lhs, rhs)
-    valid = gregory_mod._certifies(lhs, rhs, certificate)
+    valid = gregory_mod._certifies(lhs - rhs, certificate)
     if fmt == "json":
         _emit(
             _as_json(
@@ -276,7 +276,9 @@ def gregory_verify(identity: str, fmt: str, out: str | None) -> None:
 @cli.command("pi")
 @click.option("--formula", default="machin", show_default=True, help="A named formula or an identity string.")
 @click.option("--digits", type=int, required=True)
-@click.option("--max-terms", type=int, default=None, help="Cap each term's series at this many terms.")
+@click.option(
+    "--max-terms", type=click.IntRange(min=1), default=None, help="Cap each term's series at this many terms."
+)
 @_FORMAT
 @_OUT
 def pi_cmd(formula: str, digits: int, max_terms: int | None, fmt: str, out: str | None) -> None:

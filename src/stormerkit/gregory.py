@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import arith
 from .arith import GaussianInt
-from .stormer import Convention, is_stormer
+from .stormer import Convention, _threshold
 
 __all__ = [
     "ArcTerm",
@@ -119,7 +119,8 @@ class GregoryCombo:
 
     def __init__(self, terms: Mapping[ArcTerm, int] | Iterable[tuple[ArcTerm, int]] = ()) -> None:
         merged: dict[ArcTerm, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # type() first: the ABC check behind isinstance(terms, Mapping) is slow.
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         for term, coef in items:
             if not isinstance(term, ArcTerm):
                 raise TypeError(f"expected ArcTerm keys, got {term!r}")
@@ -213,15 +214,28 @@ class GregoryCombo:
 def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
     """Gaussian product over the difference combo, conjugating terms with
     negative coefficients.  The identity holds modulo 2*pi exactly when this
-    product is a positive real number."""
-    diff = lhs - rhs
-    product = GaussianInt(1, 0)
+    product is a positive real number.
+
+    Multiplication in Z[i] commutes, so the terms are taken in dict order,
+    and the powers are taken on plain ints.
+    """
+    diff = dict(lhs._terms)
+    for term, coef in rhs._terms.items():
+        diff[term] = diff.get(term, 0) - coef
+    re, im = 1, 0
     for term, coef in diff.items():
-        z = term.gaussian()
-        if coef < 0:
-            z = z.conjugate()
-        product = product * z ** abs(coef)
-    return product
+        a, b = term.re, term.im if coef > 0 else -term.im
+        k = abs(coef)
+        while k:
+            if k & 1:
+                re, im = re * a - im * b, re * b + im * a
+            k >>= 1
+            if k:
+                a, b = a * a - b * b, 2 * a * b
+    return GaussianInt(re, im)
+
+
+_ZERO = GregoryCombo()
 
 
 def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
@@ -231,15 +245,17 @@ def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
     which proves equality modulo 2*pi.  Stage 2: the double-precision
     difference must be tiny, which pins the multiple of 2*pi to zero.
     """
-    return _certifies(lhs, rhs, identity_certificate(lhs, rhs))
+    diff = lhs - rhs
+    return _certifies(diff, identity_certificate(diff, _ZERO))
 
 
-def _certifies(lhs: GregoryCombo, rhs: GregoryCombo, product: GaussianInt) -> bool:
-    """Both stages of :func:`verify_identity`, given ``product``, the
-    :func:`identity_certificate` of lhs = rhs, already built."""
+def _certifies(diff: GregoryCombo, product: GaussianInt) -> bool:
+    """Both stages of :func:`verify_identity` for the identity diff = 0,
+    given ``product``, its :func:`identity_certificate`, already built.
+    lhs = rhs and lhs - rhs = 0 have the same certificate."""
     if product.im != 0 or product.re <= 0:
         return False
-    return abs((lhs - rhs).value()) < _NUMERIC_TOL
+    return abs(diff.value()) < _NUMERIC_TOL
 
 
 # --- flattening ------------------------------------------------------------
@@ -373,9 +389,12 @@ def _flat_arg(w: GaussianInt) -> dict[ArcTerm, int]:
     return combo
 
 
-def _principal_arg(z: GaussianInt) -> dict[ArcTerm, int]:
-    """Combo equal to the principal argument of z, via factorization."""
-    unit, factors = arith.gaussian_factorize(z)
+def _principal_arg(
+    z: GaussianInt, factorization: tuple[GaussianInt, tuple[tuple[GaussianInt, int], ...]]
+) -> dict[ArcTerm, int]:
+    """Combo equal to the principal argument of z, given its
+    :func:`arith.gaussian_factorize` result (unit, factors)."""
+    unit, factors = factorization
     combo: dict[ArcTerm, int] = {}
     _merge(combo, {_T1: _UNIT_EIGHTHS[(unit.re, unit.im)]})
     for prime, exponent in factors:
@@ -406,21 +425,28 @@ def _prime_arg(prime: GaussianInt) -> dict[ArcTerm, int]:
         if m.norm() >= prime.norm():
             raise ArithmeticError(f"flattening failed to reduce the norm at {prime}")
         combo = _flat_arg(w)
-        _merge(combo, _principal_arg(m), -1)
+        _merge(combo, _principal_arg(m, arith.gaussian_factorize(m)), -1)
         _snap_full_turns(combo, math.atan2(b, a), str(prime))
     _prime_memo[key] = combo
     return combo
 
 
 def _t_combo(n: int) -> dict[ArcTerm, int]:
-    """Combo for t_n over the Stormer basis (inclusive convention)."""
+    """Combo for t_n over the Stormer basis (inclusive convention).
+
+    n**2 + 1, the norm of n + i, is factored once: its largest prime decides
+    whether n is a Stormer number, and the same factorization splits n + i
+    into Gaussian primes otherwise.
+    """
     cached = _t_memo.get(n)
     if cached is not None:
         return cached
-    if is_stormer(n, Convention.INCLUSIVE).is_stormer:
+    norm = arith._factorize_norm(n * n + 1)
+    if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
         combo = {ArcTerm.integer(n): 1}
     else:
-        combo = _principal_arg(GaussianInt(n, 1))
+        z = GaussianInt(n, 1)
+        combo = _principal_arg(z, arith._gaussian_split(z, norm))
     _t_memo[n] = combo
     return combo
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .gregory import ArcTerm, GregoryCombo, verify_identity
 
@@ -296,6 +297,9 @@ def _formula_multiple(formula: GregoryCombo) -> int:
     raise ValueError(f"formula does not equal a positive multiple of t1: {formula}")
 
 
+# The last evaluation is kept: ``pi --max-terms`` asks compute_pi for the
+# digits and tail_correct_digits for their estimate, and both read one run.
+@lru_cache(maxsize=1)
 def _pi(formula: GregoryCombo, digits: int, max_terms: int | None) -> tuple[int, int, int, tuple[int, ...]]:
     """(mantissa, scale, k, terms): pi ~ mantissa / 10**scale from the
     formula, which equals k * t_1, and the length of each term's series."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stormerkit import arith
@@ -148,6 +148,27 @@ def test_factorize_semiprime_near_rho_range() -> None:
     assert factorize(p * q).factors == ((q, 1), (p, 1))
 
 
+# x = 1, 7, 18, 57, 239: x**2 + 1 = 2, 2*5**2, 5**2*13, 2*5**3*13, 2*13**4
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**12))
+@example(1)
+@example(7)
+@example(18)
+@example(57)
+@example(239)
+def test_factorize_norm_of_x_squared_plus_one_matches_sympy(x: int) -> None:
+    n = x * x + 1
+    assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**6))
+def test_factorize_norm_of_coprime_squares_matches_sympy(a: int, b: int) -> None:
+    g = math.gcd(a, b)
+    n = (a // g) ** 2 + (b // g) ** 2
+    assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
+
+
 # --- extended gcd ---------------------------------------------------------------
 
 def test_extended_gcd_examples() -> None:
@@ -257,6 +278,97 @@ def test_gaussian_factorize_round_trip_hypothesis(a: int, b: int) -> None:
         return
     unit, factors = gaussian_factorize(z)
     assert _reassemble(unit, factors) == z
+
+
+def _sqrt_split_reference(z: GaussianInt):
+    """gaussian_factorize as it was before the gcd split: the whole norm
+    through factorize, and every p == 1 (mod 4) split through a square root
+    of -1 mod p, trying both Gaussian primes over p."""
+    residual = z
+    found = []
+    for p, e in factorize(z.norm()).factors:
+        if p == 2:
+            primes = [GaussianInt(1, 1)]
+        elif p % 4 == 3:
+            primes = [GaussianInt(p, 0)]
+        else:
+            _, pi = arith.gaussian_gcd(GaussianInt(p, 0), GaussianInt(sqrt_minus_one_mod_p(p), 1)).canonical_associate()
+            primes = [pi, GaussianInt(pi.im, pi.re)]
+        for prime in primes:
+            count = 0
+            while prime.divides(residual):
+                residual = residual.exact_div(prime)
+                count += 1
+            if count:
+                found.append((prime, count))
+    assert residual.is_unit()
+    found.sort(key=lambda fe: (fe[0].norm(), fe[0].im))
+    return residual, tuple(found)
+
+
+def _primes_over(p: int) -> tuple[GaussianInt, GaussianInt]:
+    """The two first-quadrant Gaussian primes a+bi, b+ai over p == 1 (mod 4),
+    found by search for p = a**2 + b**2."""
+    a = next(a for a in range(1, math.isqrt(p) + 1) if math.isqrt(p - a * a) ** 2 == p - a * a)
+    b = math.isqrt(p - a * a)
+    return GaussianInt(a, b), GaussianInt(b, a)
+
+
+_SPLIT_PRIMES = [p for p in sieve_primes(400) if p % 4 == 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_SPLIT_PRIMES), st.booleans(), st.integers(1, 5)),
+        max_size=5,
+        unique_by=lambda t: t[0],
+    ),
+    st.integers(0, 1),
+    st.integers(0, 3),
+)
+def test_gaussian_factorize_content_one_products(
+    powers: list[tuple[int, bool, int]], ramified: int, quarter_turns: int
+) -> None:
+    # One Gaussian prime over each p, and (1+i) at most once, so that no
+    # rational prime divides z: every p == 1 (mod 4) takes the gcd route.
+    unit = GaussianInt(0, 1) ** quarter_turns
+    z = unit * GaussianInt(1, 1) ** ramified
+    expected = [(GaussianInt(1, 1), 1)] if ramified else []
+    for p, conjugate_side, e in powers:
+        prime = _primes_over(p)[conjugate_side]
+        z = z * prime**e
+        expected.append((prime, e))
+    assert math.gcd(z.re, z.im) == 1
+    got_unit, factors = gaussian_factorize(z)
+    assert _reassemble(got_unit, factors) == z
+    assert sorted(factors, key=lambda fe: (fe[0].norm(), fe[0].im)) == list(factors)
+    assert sorted(factors, key=str) == sorted(expected, key=str)
+    assert (got_unit, factors) == _sqrt_split_reference(z)
+
+
+@pytest.mark.parametrize(
+    ("content", "w"),
+    [(5, (2, 1)), (13, (3, 2)), (5, (1, 2)), (25, (2, 1)), (65, (8, 1)), (2, (3, 2)),
+     (3, (2, 1)), (10, (7, 1)), (15, (1, 0)), (5 * 13 * 17, (4, 1)), (9, (3, 0)),
+     (5, (4, 1)), (13, (2, 1)), (7 * 13, (12, 5))],
+)
+def test_gaussian_factorize_content_above_one(content: int, w: tuple[int, int]) -> None:
+    # Primes dividing the content keep the square-root route; the others,
+    # such as 17 in 5*(4+i) or 5 in 13*(2+i), take the gcd route.
+    for z in (GaussianInt(content * w[0], content * w[1]), GaussianInt(-content * w[1], content * w[0])):
+        unit, factors = gaussian_factorize(z)
+        assert _reassemble(unit, factors) == z
+        assert (unit, factors) == _sqrt_split_reference(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000), st.integers(1, 120))
+def test_gaussian_factorize_matches_sqrt_reference(a: int, b: int, content: int) -> None:
+    z = GaussianInt(content * a, content * b)
+    if z.is_zero():
+        return
+    assert gaussian_factorize(z) == _sqrt_split_reference(z)
 
 
 # --- square roots of -1 ------------------------------------------------------------

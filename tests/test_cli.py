@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from stormerkit import pidigits
 from stormerkit.cli import cli
 
 
@@ -120,6 +122,30 @@ def test_gregory_verify() -> None:
     assert run("gregory", "verify", "nonsense").exit_code == 2
 
 
+# The JSON `gregory verify` printed for three classic identities and a false one before the
+# certificate was built on plain ints in dict order.
+_VERIFY_GOLDEN = {
+    "t1 = 4*t5 - t239": '{"certificate": {"im": 0, "re": 228488}, "identity": "t1 = 4*t5 - t239", "valid": true}',
+    "t1 = 5*t7 + 2*t79/3": (
+        '{"certificate": {"im": 0, "re": 156250000}, "identity": "t1 = 5*t7 + 2*t79/3", "valid": true}'
+    ),
+    "t1 = 44*t57 + 7*t239 - 12*t682 + 24*t12943": (
+        '{"certificate": {"im": 0, "re": 5688762645913292991824270173697799706556486555046675730094059800255326381'
+        "2399506744146742516941719209806270712130484019211154622382038165493584882474037422994683765864465385675430"
+        '297851562500000000000000000000000000000000000000}, "identity": "t1 = 44*t57 + 7*t239 - 12*t682 + 24*t12943",'
+        ' "valid": true}'
+    ),
+    "t1 = 4*t5 - t238": '{"certificate": {"im": 4, "re": 227532}, "identity": "t1 = 4*t5 - t238", "valid": false}',
+}
+
+
+@pytest.mark.parametrize("identity", sorted(_VERIFY_GOLDEN))
+def test_gregory_verify_certificate_is_unchanged(identity: str) -> None:
+    result = run("gregory", "verify", identity, "--format", "json")
+    assert result.exit_code == 0
+    assert result.output == _VERIFY_GOLDEN[identity] + "\n"
+
+
 def test_pi_command() -> None:
     result = run("pi", "--formula", "machin", "--digits", "30")
     assert result.output.strip().startswith("3.141592653589793238462643383279")
@@ -139,6 +165,32 @@ def test_pi_max_terms_reports_tail_estimate() -> None:
     assert lines[0].startswith("3.14159265358979")
     assert "correct digits" in lines[1]
     assert int(lines[1].rsplit(" ", 1)[1]) >= 140
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_pi_max_terms_below_one_is_a_usage_error(cap: str) -> None:
+    result = run("pi", "--digits", "20", "--max-terms", cap)
+    assert result.exit_code == 2
+    assert "--max-terms" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pi_max_terms_evaluates_each_series_once(fmt: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    # The digits and the tail estimate come from one evaluation: one
+    # arctan series per term of the formula, not two.
+    calls = []
+    real = pidigits._arctan
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pidigits, "_arctan", counting)
+    pidigits._pi.cache_clear()
+    result = run("pi", "--formula", "stormer1896", "--digits", "300", "--max-terms", "1000", "--format", fmt)
+    assert result.exit_code == 0
+    assert len(calls) == len(pidigits.FORMULAS["stormer1896"])
 
 
 def test_pi_rejects_unverified_formula() -> None:

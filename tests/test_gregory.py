@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 
+from stormerkit import arith, gregory
 from stormerkit.arith import GaussianInt
 from stormerkit.gregory import (
     ArcTerm,
@@ -182,6 +184,46 @@ def test_decompose_soundness_small_sweep() -> None:
             assert is_stormer(s, Convention.INCLUSIVE).is_stormer
             if not is_stormer(n, Convention.INCLUSIVE).is_stormer:
                 assert s < n
+
+
+# sha256 of the canonical JSON of [decompose(n).to_json() for n in 1..3000],
+# computed before t_n was decomposed from one factorization of n**2 + 1.
+_DECOMPOSE_TO_3000_SHA256 = "fb7f2971a6ecbbf714fefb82b44b1df903d3c8162d5ab4f9fffbd0c23bc5459e"
+
+
+def test_decompose_golden_digest_to_3000() -> None:
+    payload = [decompose(n).to_json() for n in range(1, 3001)]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DECOMPOSE_TO_3000_SHA256
+
+
+def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # From cold memos: n**2 + 1 is factored once per t_n computed, serving
+    # both the Stormer test and the Gaussian split, and a multiplier's norm
+    # once per gaussian_factorize.  Every norm met here has content 1, so
+    # neither the general factorize nor a square root of -1 is needed.
+    monkeypatch.setattr(gregory, "_t_memo", {})
+    monkeypatch.setattr(gregory, "_prime_memo", {})
+    counts = {"norm": 0, "gaussian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def forbidden(*args):
+        raise AssertionError(f"unexpected call with {args}")
+
+    monkeypatch.setattr(arith, "_factorize_norm", counted("norm", arith._factorize_norm))
+    monkeypatch.setattr(arith, "gaussian_factorize", counted("gaussian", arith.gaussian_factorize))
+    monkeypatch.setattr(arith, "factorize", forbidden)
+    monkeypatch.setattr(arith, "sqrt_minus_one_mod_p", forbidden)
+    for n in range(1, 1001):
+        decompose(n)
+    assert counts["gaussian"] > 0
+    assert counts["norm"] == len(gregory._t_memo) + counts["gaussian"]
 
 
 # --- independent oracle: valuation peeling ----------------------------------------
