@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import compress
 from typing import Iterator
 
@@ -28,7 +28,6 @@ __all__ = [
     "gaussian_gcd",
     "is_prime",
     "largest_prime_factor",
-    "prime_table",
     "sieve_primes",
     "sqrt_minus_one_mod_p",
 ]
@@ -90,15 +89,6 @@ def _primes_between(lo: int, hi: int) -> Iterator[int]:
             first = max(p * p, -(-start // p) * p)
             seg[first - start :: p] = bytes(len(range(first, stop, p)))
         yield from compress(range(start, stop), seg)
-
-
-_PRIME_TABLE_LIMIT = 10**6
-
-
-@cache
-def prime_table() -> list[int]:
-    """The shared prime table up to 10**6, built once and then immutable."""
-    return sieve_primes(_PRIME_TABLE_LIMIT)
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
@@ -310,6 +300,19 @@ def _sqrt_minus_one(p: int) -> int:
     raise ArithmeticError(f"no square root of -1 modulo {p}: {p} is not a prime == 1 (mod 4)")
 
 
+def _quarter(re: int, im: int) -> tuple[int, int, int]:
+    """(t, x, y) with re + im*i = i**t * (x + yi), x > 0 and y >= 0, for
+    re + im*i != 0.  t is in -2..2, chosen so that t*pi/2 + Arg(x + yi) is
+    the principal argument, in (-pi, pi]."""
+    if re > 0 and im >= 0:
+        return 0, re, im
+    if im > 0:
+        return 1, im, -re
+    if re < 0:
+        return (2 if im == 0 else -2), -re, -im
+    return -1, -im, re
+
+
 @dataclass(frozen=True)
 class GaussianInt:
     """Gaussian integer re + im*i with exact arithmetic."""
@@ -340,8 +343,9 @@ class GaussianInt:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def conjugate(self) -> "GaussianInt":
@@ -375,15 +379,8 @@ class GaussianInt:
         integer lies there."""
         if self.is_zero():
             raise ValueError("0 has no canonical associate")
-        w, u = self, GaussianInt(1, 0)
-        # Multiplying w by -i rotates it a quarter turn clockwise; the unit
-        # accumulates the inverse rotation.
-        for _ in range(3):
-            if w.re > 0 and w.im >= 0:
-                break
-            w = GaussianInt(w.im, -w.re)
-            u = u * GaussianInt(0, 1)
-        return u, w
+        t, re, im = _quarter(self.re, self.im)
+        return GaussianInt(0, 1) ** (t % 4), GaussianInt(re, im)
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -254,21 +254,15 @@ def gregory_verify(identity: str, fmt: str, out: str | None) -> None:
         lhs, rhs = gregory_mod.parse_identity(identity)
     except IdentityParseError as exc:
         raise click.UsageError(str(exc))
-    certificate = gregory_mod.identity_certificate(lhs, rhs)
-    valid = gregory_mod._certifies(lhs - rhs, certificate)
-    if fmt == "json":
-        _emit(
-            _as_json(
-                {
-                    "identity": identity,
-                    "valid": valid,
-                    "certificate": {"re": certificate.re, "im": certificate.im},
-                }
-            ),
-            out,
-        )
-    else:
-        _emit(f"{str(valid).lower()}   certificate: {certificate}", out)
+    valid, certificate = gregory_mod._verdict(lhs, rhs)
+    verdict = str(valid).lower()
+    payload = {"identity": identity, "valid": valid, "certificate": {"re": certificate.re, "im": certificate.im}}
+    try:
+        text = _as_json(payload) if fmt == "json" else f"{verdict}   certificate: {certificate}"
+    except ValueError:  # str() refuses ints longer than the interpreter's limit
+        limit = f"{sys.get_int_max_str_digits()}-digit print limit"
+        _domain_error(ValueError(f"the identity is {verdict}, but its certificate is over the {limit}"))
+    _emit(text, out)
 
 
 # --- pi -----------------------------------------------------------------------

@@ -12,9 +12,11 @@ norm shrinks by a factor of at least four, which makes the recursion
 terminate.  Units contribute quarter turns, i.e. multiples of 2*t_1, and any
 residual full turn of 2*pi equals 8*t_1.
 
-Identities between integer combinations of arc terms are verified exactly:
-the corresponding Gaussian product must be a positive real number, and a
-double-precision evaluation rules out a hidden multiple of 2*pi.
+Every angle sum is read in exact quarter turns (Stormer 1899; Lehmer, "On
+arccotangent relations for pi", 1938): sum(e * Arg(a + bi)) = q * pi/2 +
+Arg(r + si) with r > 0 and s >= 0, found by multiplying out the Gaussian
+product and turning it back into the first quadrant after every step.  An
+identity holds exactly when q = 0 and s = 0; no float decides it.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ __all__ = [
     "parse_identity",
     "verify_identity",
 ]
-
-_TWO_PI = 2 * math.pi
-
-# Numeric window for ruling out hidden 2*pi multiples; exactness is always
-# established separately by the Gaussian product certificate.
-_NUMERIC_TOL = 1e-9
-
 
 class IdentityParseError(ValueError):
     """Raised when an identity string does not match the grammar."""
@@ -211,51 +206,69 @@ class GregoryCombo:
 
 # --- identity verification -------------------------------------------------
 
-def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
-    """Gaussian product over the difference combo, conjugating terms with
-    negative coefficients.  The identity holds modulo 2*pi exactly when this
-    product is a positive real number.
+def _turns(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(q, r, s) with sum(e * Arg(a + bi)) = q*pi/2 + Arg(r + si) exactly,
+    r > 0 and s >= 0, over the triples (a, b, e) of ``terms``, a + bi != 0
+    and e >= 0.
 
-    Multiplication in Z[i] commutes, so the terms are taken in dict order,
-    and the powers are taken on plain ints.
+    Square and multiply on plain ints, r + si being the product turned back
+    by i**q.  A product or square of two first-quadrant values lies in the
+    upper half-plane, so one quarter turn (times -i) at most brings it back.
+    A square that turns is i times a first-quadrant base that still enters
+    the product e times, e being the exponent left: it adds e quarter turns.
     """
+    q, re, im = 0, 1, 0
+    for a, b, e in terms:
+        t, a, b = arith._quarter(a, b)
+        q += t * e
+        while e:
+            if e & 1:
+                re, im = re * a - im * b, re * b + im * a
+                if re <= 0:
+                    re, im, q = im, -re, q + 1
+            e >>= 1
+            if e:
+                a, b = a * a - b * b, 2 * a * b
+                if a <= 0:
+                    a, b, q = b, -a, q + e
+    return q, re, im
+
+
+def _combo_turns(terms: Mapping[ArcTerm, int]) -> tuple[int, int, int]:
+    """:func:`_turns` of sum(c * arg(t)) over ``terms``; a negative c takes
+    |c| times the conjugate of t, whose argument is -arg(t) as re >= 1."""
+    return _turns((t.re, t.im if c > 0 else -t.im, abs(c)) for t, c in terms.items())
+
+
+def _verdict(lhs: GregoryCombo, rhs: GregoryCombo) -> tuple[bool, GaussianInt]:
+    """(whether lhs = rhs holds, its :func:`identity_certificate`), from one
+    Gaussian product over the difference of the two sides."""
     diff = dict(lhs._terms)
     for term, coef in rhs._terms.items():
         diff[term] = diff.get(term, 0) - coef
-    re, im = 1, 0
-    for term, coef in diff.items():
-        a, b = term.re, term.im if coef > 0 else -term.im
-        k = abs(coef)
-        while k:
-            if k & 1:
-                re, im = re * a - im * b, re * b + im * a
-            k >>= 1
-            if k:
-                a, b = a * a - b * b, 2 * a * b
-    return GaussianInt(re, im)
+    q, re, im = _combo_turns(diff)
+    valid = q == 0 and im == 0
+    for _ in range(q % 4):
+        re, im = -im, re
+    return valid, GaussianInt(re, im)
 
 
-_ZERO = GregoryCombo()
+def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
+    """Gaussian product over the difference combo, conjugating terms with
+    negative coefficients.  The identity holds modulo 2*pi exactly when this
+    product is a positive real number."""
+    return _verdict(lhs, rhs)[1]
 
 
 def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
     """Exact check that sum(lhs) equals sum(rhs) as real numbers.
 
-    Stage 1: the Gaussian product certificate must be a positive real,
-    which proves equality modulo 2*pi.  Stage 2: the double-precision
-    difference must be tiny, which pins the multiple of 2*pi to zero.
+    :func:`_turns` reads the difference as q quarter turns plus Arg(r + si)
+    with 0 <= Arg(r + si) < pi/2, so it is zero exactly when q = 0 and
+    s = 0.  A product that is a positive real (s = 0) with q = 4m != 0 is a
+    hidden multiple 2*pi*m, and is rejected.
     """
-    diff = lhs - rhs
-    return _certifies(diff, identity_certificate(diff, _ZERO))
-
-
-def _certifies(diff: GregoryCombo, product: GaussianInt) -> bool:
-    """Both stages of :func:`verify_identity` for the identity diff = 0,
-    given ``product``, its :func:`identity_certificate`, already built.
-    lhs = rhs and lhs - rhs = 0 have the same certificate."""
-    if product.im != 0 or product.re <= 0:
-        return False
-    return abs(diff.value()) < _NUMERIC_TOL
+    return _verdict(lhs, rhs)[0]
 
 
 # --- flattening ------------------------------------------------------------
@@ -359,23 +372,6 @@ def _merge(dst: dict[ArcTerm, int], src: Mapping[ArcTerm, int], scale: int = 1) 
             dst.pop(term, None)
 
 
-def _combo_float(combo: Mapping[ArcTerm, int]) -> float:
-    return math.fsum(c * t.value() for t, c in combo.items())
-
-
-def _snap_full_turns(combo: dict[ArcTerm, int], target: float, context: str) -> None:
-    """Add the multiple of 2*pi (= 8*t_1) that matches the principal value."""
-    drift = target - _combo_float(combo)
-    k = round(drift / _TWO_PI)
-    if k:
-        _merge(combo, {_T1: 8 * k})
-    if abs(target - _combo_float(combo)) > 1e-7:
-        raise ArithmeticError(f"argument bookkeeping drifted while expanding {context}")
-
-
-_UNIT_EIGHTHS = {(1, 0): 0, (0, 1): 2, (-1, 0): 4, (0, -1): -2}
-
-
 def _flat_arg(w: GaussianInt) -> dict[ArcTerm, int]:
     """Exact principal-argument combo of w = e +- i."""
     e, s = w.re, w.im
@@ -393,13 +389,18 @@ def _principal_arg(
     z: GaussianInt, factorization: tuple[GaussianInt, tuple[tuple[GaussianInt, int], ...]]
 ) -> dict[ArcTerm, int]:
     """Combo equal to the principal argument of z, given its
-    :func:`arith.gaussian_factorize` result (unit, factors)."""
-    unit, factors = factorization
+    :func:`arith.gaussian_factorize` result (unit, factors).
+
+    The factors' arguments add up to q quarter turns plus Arg(r + si)
+    (:func:`_turns`), and z is r + si turned by the unit and those q quarter
+    turns, so z's own quarter turns less q, at 2*t_1 each, complete the sum.
+    """
+    _, factors = factorization
     combo: dict[ArcTerm, int] = {}
-    _merge(combo, {_T1: _UNIT_EIGHTHS[(unit.re, unit.im)]})
     for prime, exponent in factors:
         _merge(combo, _prime_arg(prime), exponent)
-    _snap_full_turns(combo, math.atan2(z.im, z.re), str(z))
+    q = _turns((p.re, p.im, e) for p, e in factors)[0]
+    _merge(combo, {_T1: 2 * (arith._quarter(z.re, z.im)[0] - q)})
     return combo
 
 
@@ -424,9 +425,12 @@ def _prime_arg(prime: GaussianInt) -> dict[ArcTerm, int]:
         m, w = _flatten_step(a, b)
         if m.norm() >= prime.norm():
             raise ArithmeticError(f"flattening failed to reduce the norm at {prime}")
+        # prime * m = w, so Arg(prime) is Arg(w) - Arg(m) plus the quarter
+        # turns of Arg(prime) + Arg(m) less those of Arg(w), 2*t_1 each.
         combo = _flat_arg(w)
         _merge(combo, _principal_arg(m, arith.gaussian_factorize(m)), -1)
-        _snap_full_turns(combo, math.atan2(b, a), str(prime))
+        q = _turns(((a, b, 1), (m.re, m.im, 1)))[0]
+        _merge(combo, {_T1: 2 * (q - arith._quarter(w.re, w.im)[0])})
     _prime_memo[key] = combo
     return combo
 

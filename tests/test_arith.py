@@ -77,8 +77,28 @@ def test_primes_between_property(a: int, b: int, segment: int) -> None:
 
 def test_sieve_primes_small_limits() -> None:
     assert [sieve_primes(n) for n in (-3, 0, 1, 2, 3, 4)] == [[], [], [], [2], [2, 3], [2, 3]]
-    assert arith.prime_table() is arith.prime_table()
-    assert arith.prime_table()[-1] == 999983 and len(arith.prime_table()) == 78498
+
+
+def test_gaussian_pow_multiplies_only_what_it_uses(monkeypatch: pytest.MonkeyPatch) -> None:
+    # popcount(k) products into the result and bit_length(k) - 1 squarings:
+    # the base is not squared again after the top bit.
+    for base in (GaussianInt(5, 1), GaussianInt(-2, 3), GaussianInt(0, 1)):
+        expected = GaussianInt(1, 0)
+        for k in range(41):
+            assert base**k == expected, (base, k)
+            expected = expected * base
+    calls = []
+    plain = GaussianInt.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(GaussianInt, "__mul__", counted)
+    for k in [*range(1, 70), 400000]:
+        calls.clear()
+        GaussianInt(5, 1) ** k
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1, k
 
 
 def test_sieve_primes_is_entered_once_per_call(monkeypatch: pytest.MonkeyPatch) -> None:

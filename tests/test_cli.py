@@ -146,6 +146,21 @@ def test_gregory_verify_certificate_is_unchanged(identity: str) -> None:
     assert result.output == _VERIFY_GOLDEN[identity] + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("identity, verdict", [
+    ("10000*t1 = 40000*t5 - 10000*t239", "true"),
+    ("10000*t1 = 40000*t5 - 10000*t238", "false"),
+])
+def test_gregory_verify_above_the_print_limit_is_a_domain_error(identity: str, verdict: str, fmt: str) -> None:
+    # The certificate has over 4300 digits, more than str() will print.
+    result = run("gregory", "verify", identity, "--format", fmt)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"identity is {verdict}" in lines[0] and "4300-digit print limit" in lines[0]
+
+
 def test_pi_command() -> None:
     result = run("pi", "--formula", "machin", "--digits", "30")
     assert result.output.strip().startswith("3.141592653589793238462643383279")

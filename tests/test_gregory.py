@@ -6,7 +6,10 @@ import math
 import random
 from functools import lru_cache
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stormerkit import arith, gregory
 from stormerkit.arith import GaussianInt
@@ -92,9 +95,89 @@ def test_certificate_positive_real_for_true_identity() -> None:
 
 def test_angle_sums_spanning_multiple_turns() -> None:
     # 8 * t1 = 2*pi: the product certificate alone cannot distinguish this
-    # from zero, the numeric stage must
+    # from zero, the quarter-turn count (4, not 0) must
     assert not verify_identity(combo({1: 8}), GregoryCombo())
     assert verify_identity(combo({1: 8}), combo({1: 8}))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("j", [-2, -1, 1, 2])
+def test_full_turn_offsets_are_rejected(k: int, j: int) -> None:
+    # k*t1 = 4k*t5 - k*t239 + 8j*t1 holds modulo 2*pi (the certificate is a
+    # positive real) but is off by j full turns.
+    lhs = combo({1: k})
+    true_rhs = combo({5: 4 * k, 239: -k})
+    offset = true_rhs + combo({1: 8 * j})
+    assert verify_identity(lhs, true_rhs)
+    cert = identity_certificate(lhs, offset)
+    assert cert.im == 0 and cert.re > 0
+    assert not verify_identity(lhs, offset)
+    assert gregory._combo_turns((offset - lhs).terms())[0] == 4 * j
+
+
+_BASE = st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda ab: ab != (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_BASE, st.integers(0, 40)), max_size=4))
+@example([((-1, 0), 3), ((-2, -1), 5), ((0, -3), 2), ((1, -1), 7)])
+@example([((1, 1), 8)])
+def test_turns_match_mpmath(terms: list[tuple[tuple[int, int], int]]) -> None:
+    # sum(e * Arg(a + bi)) - q*pi/2 must be Arg(r + si), which lies in
+    # [0, pi/2); a q off by one would leave pi/2 over.
+    q, r, s = gregory._turns((a, b, e) for (a, b), e in terms)
+    assert r > 0 and s >= 0
+    with mpmath.workdps(50):
+        total = mpmath.fsum(e * mpmath.atan2(b, a) for (a, b), e in terms)
+        assert abs(total - q * mpmath.pi / 2 - mpmath.atan2(s, r)) < mpmath.mpf(10) ** -40
+
+
+_ARC = st.tuples(st.integers(1, 60), st.integers(1, 60)).map(lambda ab: ArcTerm.of(*ab))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ARC, st.integers(-40, 40)), max_size=4), st.integers(-6, 6))
+@example([(T(5), 4), (T(239), -1)], 1)
+@example([(T(2), 1), (T(3), 1)], 1)
+@example([(T(1), 8)], 0)
+@example([(ArcTerm(3, 2), 2), (ArcTerm(2, 3), 2)], 4)
+def test_verify_identity_matches_mpmath(terms: list[tuple[ArcTerm, int]], k: int) -> None:
+    # The examples include true identities, which random draws seldom hit.
+    lhs, rhs = GregoryCombo(terms), combo({1: k})
+    with mpmath.workdps(50):
+        gap = mpmath.fsum(c * mpmath.atan2(t.im, t.re) for t, c in lhs) - k * mpmath.pi / 4
+        expected = abs(gap) < mpmath.mpf(10) ** -40
+    assert verify_identity(lhs, rhs) is expected
+    product = GaussianInt(1, 0)
+    for t, c in (lhs - rhs).terms().items():
+        product = product * GaussianInt(t.re, t.im if c > 0 else -t.im) ** abs(c)
+    assert identity_certificate(lhs, rhs) == product
+
+
+def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Verification, decomposition and the pi formula check read exact
+    # quarter turns only: every float that could decide them raises here.
+    from stormerkit import pidigits
+
+    def float_used(*args, **kwargs):
+        raise AssertionError("a float entered an exact check")
+
+    monkeypatch.setattr(math, "atan2", float_used)
+    monkeypatch.setattr(math, "fsum", float_used)
+    monkeypatch.setattr(ArcTerm, "value", float_used)
+    monkeypatch.setattr(GregoryCombo, "value", float_used)
+    for module in (gregory, pidigits):
+        monkeypatch.setattr(module, "round", float_used, raising=False)
+    monkeypatch.setattr(gregory, "_t_memo", {})
+    monkeypatch.setattr(gregory, "_prime_memo", {})
+    pidigits._pi.cache_clear()
+
+    payload = [decompose(n).to_json() for n in range(1, 3001)]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DECOMPOSE_TO_3000_SHA256
+    for formula in pidigits.FORMULAS.values():
+        assert verify_identity(combo({1: 1}), formula)
+        assert pidigits.compute_pi(formula, 40).digits == "3.1415926535897932384626433832795028841971"
 
 
 # --- flattening -----------------------------------------------------------------
@@ -224,6 +307,23 @@ def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch) -> No
         decompose(n)
     assert counts["gaussian"] > 0
     assert counts["norm"] == len(gregory._t_memo) + counts["gaussian"]
+
+
+def test_decompose_with_negated_multipliers(monkeypatch: pytest.MonkeyPatch) -> None:
+    # _flatten_step prefers a*d + b*c = +1, which keeps every flat w in the
+    # upper half-plane; its negation flattens as well and sends w below,
+    # where Arg(w) - Arg(m) is negative and a full turn 8*t_1 comes back.
+    plain = gregory._flatten_step
+
+    def negated(a: int, b: int) -> tuple[GaussianInt, GaussianInt]:
+        m, w = plain(a, b)
+        return -m, -w
+
+    expected = [decompose(n) for n in range(1, 701)]
+    monkeypatch.setattr(gregory, "_flatten_step", negated)
+    monkeypatch.setattr(gregory, "_t_memo", {})
+    monkeypatch.setattr(gregory, "_prime_memo", {})
+    assert [decompose(n) for n in range(1, 701)] == expected
 
 
 # --- independent oracle: valuation peeling ----------------------------------------

@@ -110,6 +110,16 @@ def test_compute_pi_accepts_multiples_of_t1() -> None:
     assert compute_pi(doubled, 30).digits == compute_pi(FORMULAS["machin"], 30).digits
 
 
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_formula_multiple_is_exact(name: str) -> None:
+    formula = FORMULAS[name]
+    for k in range(1, 21):
+        assert pidigits._formula_multiple(formula * k) == k
+    for bad in (-formula, formula * -3, GregoryCombo(), GregoryCombo.of_integers({2: 1})):
+        with pytest.raises(ValueError):
+            pidigits._formula_multiple(bad)
+
+
 def test_machin_tail_estimate_at_100_terms() -> None:
     assert tail_correct_digits(FORMULAS["machin"], 160, 100) >= 140
 
