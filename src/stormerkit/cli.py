@@ -18,6 +18,7 @@ import click
 from . import density as density_mod
 from . import gregory as gregory_mod
 from . import pidigits, stormer, twosquares
+from .arith import GaussianInt
 from .gregory import GregoryCombo, IdentityParseError
 from .stormer import Convention
 
@@ -259,9 +260,16 @@ def gregory_verify(identity: str, fmt: str, out: str | None) -> None:
     payload = {"identity": identity, "valid": valid, "certificate": {"re": certificate.re, "im": certificate.im}}
     try:
         text = _as_json(payload) if fmt == "json" else f"{verdict}   certificate: {certificate}"
-    except ValueError:  # str() refuses ints longer than the interpreter's limit
-        limit = f"{sys.get_int_max_str_digits()}-digit print limit"
-        _domain_error(ValueError(f"the identity is {verdict}, but its certificate is over the {limit}"))
+    except ValueError:
+        # str() refuses ints longer than the interpreter's limit: print the
+        # certificate as the product of its term powers instead.
+        powers = gregory_mod._powers(lhs - rhs)
+        if fmt == "json":
+            payload["certificate"] = {"powers": powers}
+            text = _as_json(payload)
+        else:
+            product = " * ".join(f"({GaussianInt(a, b)})^{e}" for a, b, e in powers)
+            text = f"{verdict}   certificate: {product}"
     _emit(text, out)
 
 

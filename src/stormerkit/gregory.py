@@ -3,20 +3,23 @@
 The Gregory number t_x = arctan(1/x) is the argument of the Gaussian integer
 x + i.  Because arguments add under multiplication, the Gaussian prime
 factorization of n + i expresses t_n as an integer combination of arguments
-of Gaussian primes; primes of the form m + i contribute t_m directly, and
-any other prime a + bi is "flattened" by a multiplier c + di solving the
-Diophantine equation a*d + b*c = +-1, so that (a+bi)(c+di) = e +- i.  With
-the minimal-norm multiplier, |e| is exactly the least residue root of
-x**2 == -1 modulo the prime norm, hence a Stormer number, and the cofactor
-norm shrinks by a factor of at least four, which makes the recursion
-terminate.  Units contribute quarter turns, i.e. multiples of 2*t_1, and any
-residual full turn of 2*pi equals 8*t_1.
+of Gaussian primes.  Every odd prime p dividing n**2 + 1 is == 1 (mod 4) and
+has n == +-S(p) (mod p), S(p) being the least residue root of x**2 == -1
+(mod p); the sign alone says which of the two Gaussian primes over p divides
+n + i: the first-quadrant prime pi_p dividing S(p) + i, or its conjugate.
+So t_n needs one table entry per rational prime, A(p) = Arg(pi_p) over the
+basis, and A(p) itself reduces the same way through the factors of
+S(p)**2 + 1, which lie below p except p itself (Stormer 1896; Todd 1949,
+who proved the result unique).  The prime over 2 is 1 + i, of argument t_1,
+and units contribute quarter turns, 2*t_1 each.
 
 Every angle sum is read in exact quarter turns (Stormer 1899; Lehmer, "On
 arccotangent relations for pi", 1938): sum(e * Arg(a + bi)) = q * pi/2 +
 Arg(r + si) with r > 0 and s >= 0, found by multiplying out the Gaussian
 product and turning it back into the first quadrant after every step.  An
-identity holds exactly when q = 0 and s = 0; no float decides it.
+identity holds exactly when q = 0 and s = 0; no float decides it.  The
+flattening of a + bi to e +- i through a*d + b*c = +-1 is kept as
+:func:`flatten`.
 """
 
 from __future__ import annotations
@@ -94,9 +97,6 @@ class ArcTerm:
 
     def __str__(self) -> str:
         return f"t{self.re}" if self.im == 1 else f"t{self.re}/{self.im}"
-
-
-_T1 = ArcTerm(1, 1)
 
 
 def _sort_key(term: ArcTerm) -> Fraction:
@@ -234,10 +234,17 @@ def _turns(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
     return q, re, im
 
 
+def _powers(terms: Iterable[tuple[ArcTerm, int]]) -> list[tuple[int, int, int]]:
+    """The triples (a, b, e) of a Gaussian product prod((a + bi)**e) whose
+    argument is sum(c * arg(t)) over the pairs (t, c) of ``terms``; a
+    negative c takes |c| times the conjugate of t, whose argument is -arg(t)
+    as re >= 1."""
+    return [(t.re, t.im if c > 0 else -t.im, abs(c)) for t, c in terms]
+
+
 def _combo_turns(terms: Mapping[ArcTerm, int]) -> tuple[int, int, int]:
-    """:func:`_turns` of sum(c * arg(t)) over ``terms``; a negative c takes
-    |c| times the conjugate of t, whose argument is -arg(t) as re >= 1."""
-    return _turns((t.re, t.im if c > 0 else -t.im, abs(c)) for t, c in terms.items())
+    """:func:`_turns` of sum(c * arg(t)) over ``terms``."""
+    return _turns(_powers(terms.items()))
 
 
 def _verdict(lhs: GregoryCombo, rhs: GregoryCombo) -> tuple[bool, GaussianInt]:
@@ -359,117 +366,99 @@ def flatten(z: GaussianInt) -> FlattenResult:
 # --- the decomposition engine ----------------------------------------------
 
 _memo_lock = threading.Lock()
-_t_memo: dict[int, dict[ArcTerm, int]] = {}
-_prime_memo: dict[tuple[int, int], dict[ArcTerm, int]] = {}
+# n -> t_n over the Stormer basis, as {s: coefficient} with s = 1 for t_1.
+_t_memo: dict[int, dict[int, int]] = {}
+# p == 1 (mod 4) -> (a, b, A(p)): a + bi is the first-quadrant Gaussian prime
+# dividing S(p) + i, and A(p) its argument over the Stormer basis.
+_prime_memo: dict[int, tuple[int, int, dict[int, int]]] = {}
 
 
-def _merge(dst: dict[ArcTerm, int], src: Mapping[ArcTerm, int], scale: int = 1) -> None:
-    for term, coef in src.items():
-        new = dst.get(term, 0) + scale * coef
-        if new:
-            dst[term] = new
-        else:
-            dst.pop(term, None)
+def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
+    for s, c in src.items():
+        dst[s] = dst.get(s, 0) + scale * c
 
 
-def _flat_arg(w: GaussianInt) -> dict[ArcTerm, int]:
-    """Exact principal-argument combo of w = e +- i."""
-    e, s = w.re, w.im
-    if e >= 1:
-        combo: dict[ArcTerm, int] = {}
-        _merge(combo, _t_combo(e), s)
-        return combo
-    # arg(-x + i) = pi - t_x and arg(-x - i) = t_x - pi, x = -e >= 1.
-    combo = {_T1: 4 * s}
-    _merge(combo, _t_combo(-e), -s)
-    return combo
+def _factor_args(
+    x: int, norm: arith.PrimeFactorization, skip: int = 0
+) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """The Gaussian primes of x + i over the factors of ``norm``, the prime
+    factorization of x**2 + 1, other than the one over ``skip``.
 
-
-def _principal_arg(
-    z: GaussianInt, factorization: tuple[GaussianInt, tuple[tuple[GaussianInt, int], ...]]
-) -> dict[ArcTerm, int]:
-    """Combo equal to the principal argument of z, given its
-    :func:`arith.gaussian_factorize` result (unit, factors).
-
-    The factors' arguments add up to q quarter turns plus Arg(r + si)
-    (:func:`_turns`), and z is r + si turned by the unit and those q quarter
-    turns, so z's own quarter turns less q, at 2*t_1 each, complete the sum.
+    Returns (combo, powers): ``combo`` is the sum of their arguments over the
+    Stormer basis, and ``powers`` the triples (a, b, e) of their product for
+    :func:`_turns`.  The prime over 2 is 1 + i, to the power e2.  An odd q**e
+    exactly dividing x**2 + 1 has x == +-S(q) (mod q), so r = x mod q gives
+    S(q) = min(r, q - r), and its prime is pi_q when 2r < q and the conjugate
+    of pi_q, of argument -A(q), when not.
     """
-    _, factors = factorization
-    combo: dict[ArcTerm, int] = {}
-    for prime, exponent in factors:
-        _merge(combo, _prime_arg(prime), exponent)
-    q = _turns((p.re, p.im, e) for p, e in factors)[0]
-    _merge(combo, {_T1: 2 * (arith._quarter(z.re, z.im)[0] - q)})
-    return combo
+    combo: dict[int, int] = {}
+    powers = []
+    for q, e in norm.factors:
+        if q == 2:
+            combo[1] = combo.get(1, 0) + e
+            powers.append((1, 1, e))
+        elif q != skip:
+            r = x % q
+            sign = 1 if 2 * r < q else -1
+            a, b, arg = _prime_entry(q, min(r, q - r))
+            _add(combo, arg, sign * e)
+            powers.append((a, sign * b, e))
+    return combo, powers
 
 
-def _prime_arg(prime: GaussianInt) -> dict[ArcTerm, int]:
-    """Combo equal to the principal argument of a first-quadrant prime."""
-    key = (prime.re, prime.im)
-    cached = _prime_memo.get(key)
-    if cached is not None:
-        return cached
-    a, b = key
-    if b == 0:
-        combo: dict[ArcTerm, int] = {}
-    elif (a, b) == (1, 1):
-        combo = {_T1: 1}
-    elif b == 1:
-        combo = dict(_t_combo(a))
-    elif a == 1:
-        # 1 + bi = i*(b - i), so its argument is pi/2 - t_b.
-        combo = {_T1: 2}
-        _merge(combo, _t_combo(b), -1)
-    else:
-        m, w = _flatten_step(a, b)
-        if m.norm() >= prime.norm():
-            raise ArithmeticError(f"flattening failed to reduce the norm at {prime}")
-        # prime * m = w, so Arg(prime) is Arg(w) - Arg(m) plus the quarter
-        # turns of Arg(prime) + Arg(m) less those of Arg(w), 2*t_1 each.
-        combo = _flat_arg(w)
-        _merge(combo, _principal_arg(m, arith.gaussian_factorize(m)), -1)
-        q = _turns(((a, b, 1), (m.re, m.im, 1)))[0]
-        _merge(combo, {_T1: 2 * (q - arith._quarter(w.re, w.im)[0])})
-    _prime_memo[key] = combo
-    return combo
+def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
+    """(a, b, A(p)) for a prime p == 1 (mod 4) with S(p) = s: pi_p = a + bi
+    is the first-quadrant Gaussian prime dividing s + i, and A(p) = Arg(pi_p)
+    over the Stormer basis.
 
-
-def _t_combo(n: int) -> dict[ArcTerm, int]:
-    """Combo for t_n over the Stormer basis (inclusive convention).
-
-    n**2 + 1, the norm of n + i, is factored once: its largest prime decides
-    whether n is a Stormer number, and the same factorization splits n + i
-    into Gaussian primes otherwise.
+    s is a Stormer number, as p >= 2s + 1 is the largest prime of s**2 + 1.
+    If s**2 + 1 = p, s + i is pi_p and A(p) = t_s.  Otherwise p divides
+    s**2 + 1 < p**2 / 4 + 1 once, and every other prime factor is below p.
+    The quarter turns k of pi_p times the other Gaussian primes of s + i
+    (:func:`_factor_args`) put their product at i**k * (s + i), so A(p) is
+    t_s less the other primes' arguments plus 2*k*t_1.
     """
-    cached = _t_memo.get(n)
-    if cached is not None:
-        return cached
-    norm = arith._factorize_norm(n * n + 1)
-    if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
-        combo = {ArcTerm.integer(n): 1}
-    else:
-        z = GaussianInt(n, 1)
-        combo = _principal_arg(z, arith._gaussian_split(z, norm))
-    _t_memo[n] = combo
-    return combo
+    entry = _prime_memo.get(p)
+    if entry is None:
+        g = arith.gaussian_gcd(GaussianInt(p, 0), GaussianInt(s, 1))
+        _, a, b = arith._quarter(g.re, g.im)
+        arg = {s: 1}
+        if s * s + 1 != p:
+            others, powers = _factor_args(s, arith._factorize_norm(s * s + 1), p)
+            powers.append((a, b, 1))
+            _add(arg, others, -1)
+            arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
+        entry = _prime_memo[p] = (a, b, arg)
+    return entry
 
 
 def decompose(n: int) -> GregoryCombo:
     """Express t_n as an integer combination of Stormer-basis terms.
 
-    A Stormer number (inclusive convention) is its own basis element; any
-    other n yields a combination of terms t_s with s a Stormer number and
-    s < n, obtained from the Gaussian prime factorization of n + i.  The
-    result is verified exactly before being returned.
+    A Stormer number (inclusive convention) is its own basis element.  Any
+    other n has n**2 + 1 = 2**e2 * prod(p**e), n + i is, up to a unit,
+    (1 + i)**e2 times prod(pi_p**e) with pi_p or its conjugate picked by
+    n mod p (:func:`_factor_args`), and t_n = e2*t_1 + sum(+-e*A(p)) less
+    2*q*t_1 for the q quarter turns of that product.  Each A(p) is a
+    combination of t_s with s Stormer and s <= (p - 1)/2 < n.  The result is
+    verified exactly, in quarter turns, before it is returned.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     with _memo_lock:
-        combo = GregoryCombo(_t_combo(n))
-    if not verify_identity(GregoryCombo.single(ArcTerm.integer(n)), combo):
+        combo = _t_memo.get(n)
+        if combo is None:
+            norm = arith._factorize_norm(n * n + 1)
+            if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
+                combo = {n: 1}
+            else:
+                combo, powers = _factor_args(n, norm)
+                combo[1] = combo.get(1, 0) - 2 * _turns(powers)[0]
+            combo = _t_memo[n] = {s: c for s, c in combo.items() if c}
+    q, _, im = _turns([(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in combo.items()])
+    if q or im:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
-    return combo
+    return GregoryCombo({ArcTerm.integer(s): c for s, c in combo.items()})
 
 
 def is_irreducible(n: int) -> bool:

@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stormerkit import pidigits
+from stormerkit import gregory, pidigits
+from stormerkit.arith import GaussianInt
 from stormerkit.cli import cli
 
 
@@ -146,19 +147,38 @@ def test_gregory_verify_certificate_is_unchanged(identity: str) -> None:
     assert result.output == _VERIFY_GOLDEN[identity] + "\n"
 
 
+@pytest.mark.parametrize("identity", sorted(_VERIFY_GOLDEN))
+def test_certificate_powers_multiply_to_the_printed_certificate(identity: str) -> None:
+    # Above the print limit the certificate is printed as these powers.
+    lhs, rhs = gregory.parse_identity(identity)
+    product = GaussianInt(1, 0)
+    for a, b, e in gregory._powers(lhs - rhs):
+        product = product * GaussianInt(a, b) ** e
+    printed = json.loads(_VERIFY_GOLDEN[identity])["certificate"]
+    assert {"re": product.re, "im": product.im} == printed
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("identity, verdict", [
-    ("10000*t1 = 40000*t5 - 10000*t239", "true"),
-    ("10000*t1 = 40000*t5 - 10000*t238", "false"),
+@pytest.mark.parametrize("identity, verdict, last", [
+    ("10000*t1 = 40000*t5 - 10000*t239", "true", 239),
+    ("10000*t1 = 40000*t5 - 10000*t238", "false", 238),
 ])
-def test_gregory_verify_above_the_print_limit_is_a_domain_error(identity: str, verdict: str, fmt: str) -> None:
-    # The certificate has over 4300 digits, more than str() will print.
+def test_gregory_verify_above_the_print_limit_prints_the_powers(
+    identity: str, verdict: str, last: int, fmt: str
+) -> None:
+    # The certificate has over 4300 digits, more than str() will print, so
+    # it is printed as the product of the powers of lhs - rhs.
     result = run("gregory", "verify", identity, "--format", fmt)
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert f"identity is {verdict}" in lines[0] and "4300-digit print limit" in lines[0]
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    if fmt == "json":
+        assert json.loads(result.stdout) == {
+            "identity": identity,
+            "valid": verdict == "true",
+            "certificate": {"powers": [[1, 1, 10000], [5, -1, 40000], [last, 1, 10000]]},
+        }
+    else:
+        assert result.stdout == f"{verdict}   certificate: (1+i)^10000 * (5-i)^40000 * ({last}+i)^10000\n"
 
 
 def test_pi_command() -> None:

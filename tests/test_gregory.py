@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -280,50 +281,128 @@ def test_decompose_golden_digest_to_3000() -> None:
     assert hashlib.sha256(text.encode()).hexdigest() == _DECOMPOSE_TO_3000_SHA256
 
 
+# sha256 of the canonical JSON of [decompose(n).to_json() for n in ns], ns
+# 300 log-uniform draws in [10**4, 10**10] from random.Random(9), computed
+# before t_n was decomposed from one table entry per prime.
+_DECOMPOSE_LARGE_SHA256 = "71d77cbc3443212ffc99d275baac5a052f16daa4350c05530f6e685ff06f6336"
+
+
+def test_decompose_golden_digest_large_n() -> None:
+    rng = random.Random(9)
+    payload = [decompose(int(10 ** rng.uniform(4, 10))).to_json() for _ in range(300)]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DECOMPOSE_LARGE_SHA256
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**12))
+@example(1)
+@example(239)
+@example(10**12)
+def test_decompose_evaluates_to_arctan(n: int) -> None:
+    from stormerkit.stormer import Convention, is_stormer
+
+    result = decompose(n)
+    with mpmath.workdps(50):
+        total = mpmath.fsum(c * mpmath.atan(mpmath.mpf(1) / t.re) for t, c in result)
+        assert abs(total - mpmath.atan(mpmath.mpf(1) / n)) < mpmath.mpf(10) ** -40
+    if result == combo({n: 1}):
+        assert is_stormer(n, Convention.INCLUSIVE).is_stormer
+        return
+    for term, _ in result:
+        assert term.im == 1 and term.re < n
+        assert is_stormer(term.re, Convention.INCLUSIVE).is_stormer
+
+
+@pytest.mark.parametrize("wrong", [{2: -1, 5: 2, 12: 2}, {1: 8, 2: -1, 5: 2, 12: 1}])
+def test_decompose_rejects_a_wrong_memo(wrong: dict[int, int], monkeypatch: pytest.MonkeyPatch) -> None:
+    # t70 = -t2 + 2*t5 + t12; the second combo is 2*pi off, a positive real
+    # certificate that only the quarter-turn count rejects.
+    monkeypatch.setattr(gregory, "_t_memo", {70: wrong})
+    with pytest.raises(ArithmeticError):
+        decompose(70)
+
+
 def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch) -> None:
     # From cold memos: n**2 + 1 is factored once per t_n computed, serving
-    # both the Stormer test and the Gaussian split, and a multiplier's norm
-    # once per gaussian_factorize.  Every norm met here has content 1, so
-    # neither the general factorize nor a square root of -1 is needed.
+    # both the Stormer test and the split of n + i, and S(p)**2 + 1 once per
+    # table entry whose S(p) + i is not itself prime.  n mod p picks each
+    # Gaussian prime, so nothing is factored over Z[i], flattened or rooted.
     monkeypatch.setattr(gregory, "_t_memo", {})
     monkeypatch.setattr(gregory, "_prime_memo", {})
-    counts = {"norm": 0, "gaussian": 0}
+    calls = []
+    real = arith._factorize_norm
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
+    def counted(n: int):
+        calls.append(n)
+        return real(n)
 
     def forbidden(*args):
         raise AssertionError(f"unexpected call with {args}")
 
-    monkeypatch.setattr(arith, "_factorize_norm", counted("norm", arith._factorize_norm))
-    monkeypatch.setattr(arith, "gaussian_factorize", counted("gaussian", arith.gaussian_factorize))
-    monkeypatch.setattr(arith, "factorize", forbidden)
-    monkeypatch.setattr(arith, "sqrt_minus_one_mod_p", forbidden)
+    monkeypatch.setattr(arith, "_factorize_norm", counted)
+    for name in ("gaussian_factorize", "_gaussian_split", "factorize", "sqrt_minus_one_mod_p"):
+        monkeypatch.setattr(arith, name, forbidden)
+    monkeypatch.setattr(gregory, "_flatten_step", forbidden)
     for n in range(1, 1001):
         decompose(n)
-    assert counts["gaussian"] > 0
-    assert counts["norm"] == len(gregory._t_memo) + counts["gaussian"]
+    composite = [p for p in gregory._prime_memo if _naive_min_root(p) ** 2 + 1 != p]
+    assert composite
+    assert len(calls) == len(gregory._t_memo) + len(composite)
 
 
-def test_decompose_with_negated_multipliers(monkeypatch: pytest.MonkeyPatch) -> None:
-    # _flatten_step prefers a*d + b*c = +1, which keeps every flat w in the
-    # upper half-plane; its negation flattens as well and sends w below,
-    # where Arg(w) - Arg(m) is negative and a full turn 8*t_1 comes back.
-    plain = gregory._flatten_step
+def _split_powers(x: int, skip: int = 0) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The Gaussian primes of x + i other than the one over ``skip``, as
+    (a, b, e) from the table, with the sign taken for each odd prime."""
+    powers, signs = [], []
+    for q, e in sorted(sympy.factorint(x * x + 1).items()):
+        if q == 2:
+            powers.append((1, 1, e))
+        elif q != skip:
+            a, b, _ = gregory._prime_memo[q]
+            sign = 1 if x % q == _naive_min_root(q) else -1
+            powers.append((a, sign * b, e))
+            signs.append(sign)
+    return powers, signs
 
-    def negated(a: int, b: int) -> tuple[GaussianInt, GaussianInt]:
-        m, w = plain(a, b)
-        return -m, -w
 
-    expected = [decompose(n) for n in range(1, 701)]
-    monkeypatch.setattr(gregory, "_flatten_step", negated)
+def test_prime_table_matches_mpmath(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Each entry p -> (a, b, A(p)): a + bi is the first-quadrant prime over p
+    # dividing S(p) + i, and A(p) evaluates to its argument.  The sweep
+    # 1..3000 picks the conjugate prime as well as pi_p and needs the
+    # quarter-turn correction 2*q*t_1 in both the t_n and the A(p) sums, so
+    # the golden digest guards each of them.
     monkeypatch.setattr(gregory, "_t_memo", {})
     monkeypatch.setattr(gregory, "_prime_memo", {})
-    assert [decompose(n) for n in range(1, 701)] == expected
+    for n in range(1, 3001):
+        decompose(n)
+    assert {p for p in sympy.primerange(5, 3000) if p % 4 == 1} <= set(gregory._prime_memo)
+    with mpmath.workdps(50):
+        for p, (a, b, arg) in gregory._prime_memo.items():
+            assert a * a + b * b == p and a > 0 and b > 0
+            value = mpmath.fsum(c * mpmath.atan(mpmath.mpf(1) / s) for s, c in arg.items())
+            assert abs(value - mpmath.atan2(b, a)) < mpmath.mpf(10) ** -40, p
+    signs = {1: 0, -1: 0}
+    turned = {"n": 0, "p": 0}
+    for n, t_n in gregory._t_memo.items():
+        if t_n != {n: 1}:
+            powers, n_signs = _split_powers(n)
+            q, r, s = gregory._turns(powers)
+            assert (r, s) == (n, 1)
+            turned["n"] += q != 0
+            for sign in n_signs:
+                signs[sign] += 1
+    for p, (a, b, _) in gregory._prime_memo.items():
+        x = _naive_min_root(p)
+        if x * x + 1 != p:
+            powers, p_signs = _split_powers(x, p)
+            k, r, s = gregory._turns(powers + [(a, b, 1)])
+            assert (r, s) == (x, 1)
+            turned["p"] += k != 0
+            for sign in p_signs:
+                signs[sign] += 1
+    assert signs == {1: 1346, -1: 1520}
+    assert turned == {"n": 535, "p": 183}
 
 
 # --- independent oracle: valuation peeling ----------------------------------------
