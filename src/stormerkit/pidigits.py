@@ -332,11 +332,15 @@ def compute_pi(formula: GregoryCombo, digits: int, max_terms: int | None = None)
     exactly); pi is then 4/k times its value.  ``max_terms`` caps every
     term's series individually.  The output carries at least ``digits``
     decimal digits; their correctness is limited by the series tails when
-    ``max_terms`` is set (see :func:`tail_correct_digits`).
+    ``max_terms`` is set (see :func:`tail_correct_digits`).  A capped value
+    that does not start with "3." raises ValueError: the cap is too small.
+    Uncapped, it raises ArithmeticError, since the series bounds failed.
     """
     mantissa, scale, _, used = _pi(formula, digits, max_terms)
     text = FixedPoint(mantissa, digits, scale - digits).decimal_string()
     if not text.startswith("3."):
+        if max_terms is not None:
+            raise ValueError(f"series capped at {max_terms} terms give {text[:12]}..., which is not pi")
         raise ArithmeticError(f"computed value {text[:12]}... is not pi")
     return PiResult(formula, text, used, digits)
 

@@ -74,18 +74,12 @@ def two_squares(p: int) -> TwoSquares:
     Raises ValueError for composite p and for p == 3 (mod 4), where no
     representation exists.
     """
-    if arith.is_prime(p) and p % 4 != 1:
+    if p % 4 != 1 and arith.is_prime(p):
         raise ValueError(f"{p} is not a sum of two squares: only primes p == 1 (mod 4) are")
     x0 = stormer.stormer_of_prime(p).x0  # validates primality
     qs = euclid_quotients(p, x0)
     if len(qs) % 2 or not _is_palindrome(qs):
-        # Alternate tail convention: [..., q] == [..., q-1, 1].
-        alt = qs[:-1] + [qs[-1] - 1, 1] if qs[-1] >= 2 else qs[:-2] + [qs[-2] + 1]
-        if len(alt) % 2 or not _is_palindrome(alt):
-            raise ArithmeticError(
-                f"no even-length palindromic quotient sequence for p={p} (got {qs} and {alt})"
-            )
-        qs = alt
+        raise ArithmeticError(f"no even-length palindromic quotient sequence for p={p} (got {qs})")
     half = qs[: len(qs) // 2]
     a = continuant(half)
     b = continuant(half[:-1])
