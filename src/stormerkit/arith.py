@@ -92,13 +92,12 @@ def _primes_between(lo: int, hi: int) -> Iterator[int]:
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
+    """Strong-probable-prime test of odd n to every base, each base in
+    2..n-1: :func:`is_prime` calls it only for n >= 47**2."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     for a in bases:
-        a %= n
-        if a <= 1:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -137,8 +136,6 @@ def _brent_rho(n: int) -> int:
     """A nontrivial factor of composite n (n odd, not a prime power of a
     small prime).  Brent's cycle-finding variant of Pollard rho with batched
     gcds; the parameter sequence is fixed so results are deterministic."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m = 2, 128
         g = r = q = 1
@@ -168,8 +165,8 @@ def _brent_rho(n: int) -> int:
 
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
+    """Add the prime factors of n > 1 to ``out``; rho splits a composite n
+    into two factors, each above 1."""
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
@@ -282,7 +279,7 @@ def sqrt_minus_one_mod_p(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:
-        raise ValueError(f"x^2 == -1 (mod {p}) has no solution: {p} % 4 != 1")
+        raise ValueError(f"{p} % 4 != 1, so x^2 == -1 (mod {p}) has no solution")
     return _sqrt_minus_one(p)
 
 
@@ -428,12 +425,11 @@ def _gaussian_split(
     """:func:`gaussian_factorize` of z != 0, given ``norm``, the prime
     factorization of z.norm().
 
-    A prime p == 1 (mod 4) that does not divide the content gcd(re, im)
-    has exactly one of its two Gaussian primes dividing z (both would put
-    p itself in the content), so that prime is gcd(p, z).  Only a p that
-    divides the content needs a square root of -1 mod p to find the pair.
+    Over each prime p == 1 (mod 4) lie the two first-quadrant Gaussian
+    primes gcd(p, x + i), for x a square root of -1 mod p, and its swap
+    b + ai.  Both are divided out as often as they go, which covers a p
+    that divides the content gcd(re, im) as well as one that does not.
     """
-    content = math.gcd(z.re, z.im)
     residual = z
     found: list[tuple[GaussianInt, int]] = []
     for p, e in norm.factors:
@@ -449,14 +445,9 @@ def _gaussian_split(
                 residual = residual.exact_div(GaussianInt(p, 0))
             found.append((GaussianInt(p, 0), k))
         else:
-            if content % p:
-                _, pi = gaussian_gcd(GaussianInt(p, 0), z).canonical_associate()
-                pair: tuple[GaussianInt, ...] = (pi,)
-            else:
-                x = sqrt_minus_one_mod_p(p)
-                _, pi = gaussian_gcd(GaussianInt(p, 0), GaussianInt(x, 1)).canonical_associate()
-                pair = (pi, GaussianInt(pi.im, pi.re))
-            for prime in pair:
+            x = sqrt_minus_one_mod_p(p)
+            _, pi = gaussian_gcd(GaussianInt(p, 0), GaussianInt(x, 1)).canonical_associate()
+            for prime in (pi, GaussianInt(pi.im, pi.re)):
                 count = 0
                 while prime.divides(residual):
                     residual = residual.exact_div(prime)

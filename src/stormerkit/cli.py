@@ -23,6 +23,7 @@ from typing import Callable
 
 import click
 
+from . import __version__
 from . import density as density_mod
 from . import gregory as gregory_mod
 from . import pidigits, stormer, twosquares
@@ -83,7 +84,7 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.version_option(package_name="stormerkit")
+@click.version_option(__version__)
 def cli() -> None:
     """Stormer numbers, two-squares decompositions, arctangent identities,
     and arbitrary-precision pi."""
@@ -266,6 +267,9 @@ def pi_cmd(formula: str, digits: int, max_terms: int | None) -> tuple:
             raise click.UsageError(str(exc))
         if lhs != GregoryCombo.of_integers({1: 1}):
             raise ValueError(f"formula must have t1 alone on the left: {formula!r}")
+        k = gregory_mod._formula_multiple(rhs)
+        if k != 1:
+            raise ValueError(f"identity {formula!r} does not hold: its right side equals {k}*t1")
         combo = rhs
     if digits >= 2000:
         click.echo(f"computing {digits} digits...", err=True)

@@ -16,10 +16,11 @@ and units contribute quarter turns, 2*t_1 each.
 Every angle sum is read in exact quarter turns (Stormer 1899; Lehmer, "On
 arccotangent relations for pi", 1938): sum(e * Arg(a + bi)) = q * pi/2 +
 Arg(r + si) with r > 0 and s >= 0, found by multiplying out the Gaussian
-product and turning it back into the first quadrant after every step.  An
-identity holds exactly when q = 0 and s = 0; no float decides it.  The
-flattening of a + bi to e +- i through a*d + b*c = +-1 is kept as
-:func:`flatten`.
+product and turning it back into the first quadrant after every step.  A
+combination equals k * t_1 when s = 0 (k = 2q) or r = s (k = 2q + 1), so an
+identity holds exactly when q = 0 and s = 0; :func:`_t1_multiple` alone
+reads these, and no float decides them.  The flattening of a + bi to e +- i
+through a*d + b*c = +-1 is kept as :func:`flatten`.
 """
 
 from __future__ import annotations
@@ -247,6 +248,15 @@ def _combo_turns(terms: Mapping[ArcTerm, int]) -> tuple[int, int, int]:
     return _turns(_powers(terms.items()))
 
 
+def _t1_multiple(q: int, r: int, s: int) -> int | None:
+    """The integer k with q*pi/2 + Arg(r + si) = k * t_1 = k*pi/4, for
+    r > 0 and s >= 0 as :func:`_turns` returns them, or None if there is
+    none.  As 0 <= Arg(r + si) < pi/2, k exists exactly when that argument
+    is 0 (s = 0, k = 2q) or pi/4 (r = s, k = 2q + 1).  This is the one
+    place where an angle sum becomes a verdict: k = 0 means it is zero."""
+    return 2 * q if s == 0 else 2 * q + 1 if r == s else None
+
+
 def _verdict(lhs: GregoryCombo, rhs: GregoryCombo) -> tuple[bool, GaussianInt]:
     """(whether lhs = rhs holds, its :func:`identity_certificate`), from one
     Gaussian product over the difference of the two sides."""
@@ -254,7 +264,7 @@ def _verdict(lhs: GregoryCombo, rhs: GregoryCombo) -> tuple[bool, GaussianInt]:
     for term, coef in rhs._terms.items():
         diff[term] = diff.get(term, 0) - coef
     q, re, im = _combo_turns(diff)
-    valid = q == 0 and im == 0
+    valid = _t1_multiple(q, re, im) == 0
     for _ in range(q % 4):
         re, im = -im, re
     return valid, GaussianInt(re, im)
@@ -276,6 +286,17 @@ def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
     hidden multiple 2*pi*m, and is rejected.
     """
     return _verdict(lhs, rhs)[0]
+
+
+def _formula_multiple(formula: GregoryCombo) -> int:
+    """The positive integer k with formula == k * t_1, exactly, or raise
+    ValueError."""
+    if not formula:
+        raise ValueError("formula is empty")
+    k = _t1_multiple(*_combo_turns(formula._terms))
+    if k is not None and k >= 1:
+        return k
+    raise ValueError(f"formula does not equal a positive multiple of t1: {formula}")
 
 
 # --- flattening ------------------------------------------------------------
@@ -455,8 +476,8 @@ def decompose(n: int) -> GregoryCombo:
                 combo, powers = _factor_args(n, norm)
                 combo[1] = combo.get(1, 0) - 2 * _turns(powers)[0]
             combo = _t_memo[n] = {s: c for s, c in combo.items() if c}
-    q, _, im = _turns([(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in combo.items()])
-    if q or im:
+    powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in combo.items()]
+    if _t1_multiple(*_turns(powers)) != 0:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
     return GregoryCombo({ArcTerm.integer(s): c for s, c in combo.items()})
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .gregory import ArcTerm, GregoryCombo, _combo_turns
+from .gregory import ArcTerm, GregoryCombo, _formula_multiple
 
 __all__ = [
     "FORMULAS",
@@ -282,22 +282,6 @@ def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None =
     scale = precision_digits + guard
     n = _term_count(a, b, scale, max_terms)
     return FixedPoint(_arctan(a, b, scale, n), precision_digits, guard, n)
-
-
-def _formula_multiple(formula: GregoryCombo) -> int:
-    """The positive integer k with formula == k * t_1, or raise.
-
-    The formula is q quarter turns plus Arg(r + si), 0 <= Arg(r + si) <
-    pi/2, exactly; it is a multiple k of t_1 = pi/4 when that argument is 0
-    (s = 0, k = 2q) or pi/4 (r = s, k = 2q + 1).
-    """
-    if not formula:
-        raise ValueError("formula is empty")
-    q, r, s = _combo_turns(formula._terms)
-    k = 2 * q if s == 0 else 2 * q + 1 if r == s else 0
-    if k >= 1:
-        return k
-    raise ValueError(f"formula does not equal a positive multiple of t1: {formula}")
 
 
 # The last evaluation is kept: ``pi --max-terms`` asks compute_pi for the

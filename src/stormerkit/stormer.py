@@ -78,18 +78,14 @@ def stormer_of_prime(p: int) -> StormerPair:
     """S(p) for a prime p == 1 (mod 4).
 
     Of the two least-residue roots x and p - x of x**2 == -1 (mod p),
-    exactly one lies in (1, (p-1)/2]; that one is S(p).
+    exactly one lies in (1, (p-1)/2]; that one is S(p).  Any other p is
+    refused with ValueError by :func:`arith.sqrt_minus_one_mod_p`.
     """
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p % 4 != 1:
-        raise ValueError(f"{p} % 4 != 1, so x^2 == -1 (mod {p}) has no solution")
-    return _pair(p)
+    return _pair(p, arith.sqrt_minus_one_mod_p(p))
 
 
-def _pair(p: int) -> StormerPair:
-    """(p, S(p)) for p already known to be a prime == 1 (mod 4)."""
-    x = arith._sqrt_minus_one(p)
+def _pair(p: int, x: int) -> StormerPair:
+    """(p, S(p)) from a root x of x**2 == -1 (mod p)."""
     return StormerPair(p, min(x, p - x))
 
 
@@ -154,4 +150,4 @@ def enumerate_stormer(limit: int, convention: Convention = Convention.INCLUSIVE)
 
 def prime_stormer_table(prime_limit: int) -> list[StormerPair]:
     """All pairs (p, S(p)) for primes p == 1 (mod 4) up to prime_limit."""
-    return [_pair(p) for p in arith.sieve_primes(prime_limit) if p % 4 == 1]
+    return [_pair(p, arith._sqrt_minus_one(p)) for p in arith.sieve_primes(prime_limit) if p % 4 == 1]

@@ -32,6 +32,47 @@ def test_is_prime_examples() -> None:
     assert not is_prime(-7)
 
 
+# Above the last proven Miller-Rabin tier, is_prime runs the fallback bases.
+_ABOVE_TIERS = arith._MR_TIERS[-1][0]
+
+
+def test_is_prime_above_the_proven_tiers_matches_sympy() -> None:
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randrange(_ABOVE_TIERS, 2**100)
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(40):
+        p = sympy.nextprime(rng.randrange(_ABOVE_TIERS, 2**100))
+        assert is_prime(p) == sympy.isprime(p)
+        assert is_prime(p)
+
+
+def test_is_prime_rejects_semiprimes_of_two_13_digit_primes() -> None:
+    rng = random.Random(13)
+    for _ in range(40):
+        p, q = (sympy.nextprime(rng.randrange(2 * 10**12, 10**13)) for _ in range(2))
+        assert p * q > _ABOVE_TIERS
+        assert is_prime(p * q) == sympy.isprime(p * q)
+        assert not is_prime(p * q)
+
+
+def test_is_prime_rejects_chernick_carmichael_numbers_above_the_proven_tiers() -> None:
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are
+    # prime (Chernick 1939): a Fermat pseudoprime to every coprime base.
+    found = []
+    k = 14_000_001
+    while len(found) < 5:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(f) for f in factors):
+            found.append(factors[0] * factors[1] * factors[2])
+        k += 1
+    for n in found:
+        assert n > _ABOVE_TIERS
+        assert pow(2, n - 1, n) == 1
+        assert is_prime(n) == sympy.isprime(n)
+        assert not is_prime(n)
+
+
 def test_is_prime_matches_sieve_below_10k() -> None:
     primes = set(sieve_primes(10000))
     for n in range(10000 + 1):
@@ -351,7 +392,8 @@ def test_gaussian_factorize_content_one_products(
     powers: list[tuple[int, bool, int]], ramified: int, quarter_turns: int
 ) -> None:
     # One Gaussian prime over each p, and (1+i) at most once, so that no
-    # rational prime divides z: every p == 1 (mod 4) takes the gcd route.
+    # rational prime divides z: each p == 1 (mod 4) has one of its two
+    # Gaussian primes dividing z, and the split must find which.
     unit = GaussianInt(0, 1) ** quarter_turns
     z = unit * GaussianInt(1, 1) ** ramified
     expected = [(GaussianInt(1, 1), 1)] if ramified else []
@@ -374,8 +416,8 @@ def test_gaussian_factorize_content_one_products(
      (5, (4, 1)), (13, (2, 1)), (7 * 13, (12, 5))],
 )
 def test_gaussian_factorize_content_above_one(content: int, w: tuple[int, int]) -> None:
-    # Primes dividing the content keep the square-root route; the others,
-    # such as 17 in 5*(4+i) or 5 in 13*(2+i), take the gcd route.
+    # Primes dividing the content bring both of their Gaussian primes; the
+    # others, such as 17 in 5*(4+i) or 5 in 13*(2+i), bring only one.
     for z in (GaussianInt(content * w[0], content * w[1]), GaussianInt(-content * w[1], content * w[0])):
         unit, factors = gaussian_factorize(z)
         assert _reassemble(unit, factors) == z

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stormerkit
 from stormerkit import pidigits
 from stormerkit.cli import cli
 from stormerkit.gregory import GregoryCombo
@@ -175,3 +177,84 @@ def test_module_entry_point(arg: str, code: int, stdout: str) -> None:
     assert done.stdout == stdout
     if code == 3:
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+
+
+# --- pi --formula "t1 = R" holds only if R is t1 itself -----------------------
+
+_FALSE_IDENTITIES = [
+    ["--formula", "t1 = 8*t5 - 2*t239", "--digits", "20"],  # 2*t1
+    ["--formula", "t1 = t1 + t2 + t3", "--digits", "10", "--max-terms", "40"],  # 2*t1
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("args", _FALSE_IDENTITIES)
+def test_pi_refuses_an_identity_whose_right_side_is_a_larger_multiple_of_t1(args: list[str], fmt: str) -> None:
+    result = CliRunner().invoke(cli, ["pi", *args, "--format", fmt])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "does not hold" in lines[0]
+    assert "2*t1" in lines[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pi_accepts_an_identity_that_holds(fmt: str) -> None:
+    result = CliRunner().invoke(cli, ["pi", "--formula", "t1 = 4*t5 - t239", "--digits", "20", "--format", fmt])
+    assert result.exit_code == 0
+    assert "3.14159265358979323846" in result.stdout
+
+
+# Combos with known multiples of t1, so that R = k*t1 comes up for many k.
+_KNOWN_T1 = [
+    GregoryCombo.of_integers({1: 1}),
+    GregoryCombo.of_integers({2: 1, 3: 1}),
+    pidigits.FORMULAS["machin"],
+    pidigits.FORMULAS["vega"],
+    pidigits.FORMULAS["euler"],
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    multiples=st.lists(st.tuples(st.sampled_from(_KNOWN_T1), st.integers(-2, 3)), min_size=1, max_size=3),
+    extra=st.just({}) | st.dictionaries(st.integers(1, 12), st.integers(-2, 2), max_size=2),
+    fmt=st.sampled_from(["text", "json"]),
+)
+@example(multiples=[(pidigits.FORMULAS["machin"], 2)], extra={}, fmt="text")
+@example(multiples=[(GregoryCombo.of_integers({2: 1, 3: 1}), 1)], extra={1: 1}, fmt="json")
+@example(multiples=[(pidigits.FORMULAS["machin"], 2)], extra={1: -1}, fmt="text")
+@example(multiples=[(pidigits.FORMULAS["vega"], 1)], extra={}, fmt="json")
+def test_pi_prints_digits_only_from_an_identity_that_verifies(
+    multiples: list[tuple[GregoryCombo, int]], extra: dict[int, int], fmt: str
+) -> None:
+    rhs = GregoryCombo.of_integers(extra)
+    for combo, k in multiples:
+        rhs = rhs + combo * k
+    if not rhs:
+        return
+    identity = f"t1 = {rhs}"
+    args = ["pi", "--formula", identity, "--digits", "10", "--max-terms", "60", "--format", fmt]
+    _assert_contract(args)
+    if CliRunner().invoke(cli, args).exit_code == 0:
+        verify = CliRunner().invoke(cli, ["gregory", "verify", identity])
+        assert verify.exit_code == 0
+        assert verify.stdout.startswith("true "), (identity, verify.stdout)
+
+
+# --- the version, from a source tree --------------------------------------------
+
+def test_version_runs_from_a_source_tree() -> None:
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-m", "stormerkit.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "0.1.0" in done.stdout
+
+
+def test_pyproject_version_is_the_package_version() -> None:
+    pyproject = (_SRC.parent / "pyproject.toml").read_text()
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == stormerkit.__version__

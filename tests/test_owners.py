@@ -1,0 +1,56 @@
+"""Each exact decision has one owner: the reading of quarter turns as a
+multiple of t_1 lives in ``gregory``, and the check that p is a prime
+== 1 (mod 4) lives in ``arith``."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import stormerkit
+
+_SOURCES = sorted(Path(stormerkit.__file__).parent.glob("*.py"))
+
+# The quarter-turn reader and the one function that maps its output to k.
+_GREGORY_ONLY = {"_turns", "_combo_turns", "_t1_multiple"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a tree names, read or imported."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_quarter_turns_are_read_only_in_gregory() -> None:
+    assert {path.name for path in _SOURCES} >= {"gregory.py", "pidigits.py", "cli.py"}
+    found = {
+        path.name: sorted(_names(ast.parse(path.read_text(), filename=str(path))) & _GREGORY_ONLY)
+        for path in _SOURCES
+        if path.name != "gregory.py"
+    }
+    assert {name: used for name, used in found.items() if used} == {}
+
+
+def test_stormer_of_prime_leaves_its_checks_to_arith() -> None:
+    func = _function(Path(stormerkit.__file__).parent / "stormer.py", "stormer_of_prime")
+    assert "sqrt_minus_one_mod_p" in _names(func)
+    assert "is_prime" not in _names(func)
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) for node in ast.walk(func))
+
+
+def test_gaussian_split_has_one_route() -> None:
+    func = _function(Path(stormerkit.__file__).parent / "arith.py", "_gaussian_split")
+    assert "content" not in _names(func)
+    assert "gcd" not in _names(func)
