@@ -3,9 +3,9 @@
 Everything in this package reduces to a handful of primitives implemented
 here: the one prime sieve (segmented Eratosthenes), deterministic primality
 testing, integer factorization (trial division plus Brent's variant of
-Pollard rho), the extended Euclidean algorithm, square roots of -1 modulo a
-prime, and exact arithmetic in Z[i] including factorization into Gaussian
-primes.
+Pollard rho), the extended Euclidean algorithm, recursive division of big
+ints, square roots of -1 modulo a prime, and exact arithmetic in Z[i]
+including factorization into Gaussian primes.
 
 Plain Python ints serve as the arbitrary-precision integer type and
 ``fractions.Fraction`` as the rational type; both are exact.
@@ -266,6 +266,73 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_u, old_v = -old_r, -old_u, -old_v
     return old_r, old_u, old_v
+
+
+# Bit length at or below which a division step goes to native divmod: a
+# divisor this short, or a quotient this short.  Measured on Python 3.11,
+# whose native division is quadratic; see _divmod.
+_DIV_LIMIT = 4000
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0 and b > 0, in time O(M(n) log n) per n
+    quotient bits, n the bit length of b and M(n) the cost of an n-bit
+    multiplication, where native divmod is quadratic before Python 3.12.
+
+    Recursive division (Burnikel & Ziegler, "Fast recursive division",
+    MPI-I-98-1-022, 1998; Brent & Zimmermann, Modern Computer Arithmetic,
+    section 1.4.3), the route CPython 3.12 takes in Lib/_pylong.py.  a is
+    read as digits in base 2**n, n the bit length of b, top digit first,
+    and each step divides (remainder, digit) by b with :func:`_div2n1n`.
+    Every step is exact, so nothing needs correcting afterwards.
+    """
+    n = b.bit_length()
+    if n <= _DIV_LIMIT or a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div2n1n(r << n | a >> shift & mask, b, n)
+        q = q << n | digit
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2**n.
+
+    An odd n is made even by doubling a and b.  With b = b1 * 2**h + b2 and
+    h = n/2, the quotient's two h-bit halves each come from one 3h-by-2h
+    step of :func:`_div3n2n`.
+    """
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 * 2**h + a3, b) for b = b1 * 2**h + b2 of exactly 2h
+    bits, a3 < 2**h and a12 < b.
+
+    The quotient q < 2**h is first estimated from a12 / b1, which can only
+    overstate it; b1's top bit is set, so at most two steps of adding b
+    back bring the remainder to 0 <= r < b.
+    """
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q, r = q - 1, r + b
+    return q, r
 
 
 def sqrt_minus_one_mod_p(p: int) -> int:

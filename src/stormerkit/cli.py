@@ -6,8 +6,10 @@ Every command supports ``--format`` where meaningful (text, json, csv) and
 ``ValueError`` the library raises (e.g. for a prime that is 3 mod 4 where 1
 mod 4 is required): it is shown as one ``error:`` line on stderr, with
 nothing on stdout.  Long-running commands report progress on stderr only,
-keeping stdout machine-clean.  Bulk enumeration runs in one process, as one
-sieve of x^2 + 1 by the roots +-S(p).
+keeping stdout machine-clean, and only after the library check that owns
+each input has accepted it, so a refused input leaves only its ``error:``
+line.  Bulk enumeration runs in one process, as one sieve of x^2 + 1 by the
+roots +-S(p).
 
 Each command body calls the library and returns its JSON payload and a text
 renderer, plus a csv renderer where the command has one; :func:`_formatted`
@@ -135,6 +137,7 @@ def stormer_check(n: int, convention: str | None) -> tuple:
 def stormer_list(limit: int, convention: str | None) -> tuple:
     """List all Stormer numbers up to --limit."""
     conv = Convention(convention) if convention else Convention.INCLUSIVE
+    stormer._check_table_limit(limit)
     if limit >= 10**5:
         click.echo(f"enumerating Stormer numbers up to {limit}...", err=True)
     values = stormer.enumerate_stormer(limit, conv)
@@ -191,6 +194,7 @@ def density_cmd(limits: str, measure: str) -> tuple:
         raise click.UsageError(f"--limits must be a comma-separated list of integers, got {limits!r}")
     if not parsed or any(n <= 0 for n in parsed) or parsed != sorted(parsed):
         raise click.UsageError("--limits must be positive and ascending")
+    stormer._check_table_limit(parsed[-1])
     if parsed[-1] >= 10**5:
         click.echo(f"counting up to {parsed[-1]}...", err=True)
     rows = density_mod.density_sweep(parsed, measure)
@@ -271,6 +275,7 @@ def pi_cmd(formula: str, digits: int, max_terms: int | None) -> tuple:
         if k != 1:
             raise ValueError(f"identity {formula!r} does not hold: its right side equals {k}*t1")
         combo = rhs
+    pidigits._checked_multiple(combo, digits, max_terms)
     if digits >= 2000:
         click.echo(f"computing {digits} digits...", err=True)
     result = pidigits.compute_pi(combo, digits, max_terms)

@@ -112,8 +112,7 @@ def _largest_prime_factors(limit: int) -> array:
     every p <= limit, an entry still above 1 is a single prime > limit (two
     would exceed limit**2 + 1), so every entry is exact.
     """
-    if limit >= 1 << 32:
-        raise ValueError(f"limit {limit} is too large: x**2 + 1 must fit in 64 bits")
+    _check_table_limit(limit)
     # x**2 + 1 == 2 (mod 4) for odd x, so one shift takes out the prime 2.
     t = array("Q", ((x * x + 1) >> (x & 1) for x in range(limit + 1)))
     if limit >= 1:
@@ -128,6 +127,13 @@ def _largest_prime_factors(limit: int) -> array:
                     v //= p
                 t[x] = v if v > 1 else p
     return t
+
+
+def _check_table_limit(limit: int) -> None:
+    """Refuse a limit of :func:`_largest_prime_factors` whose x**2 + 1 would
+    not fit the table's 64-bit entries."""
+    if limit >= 1 << 32:
+        raise ValueError(f"limit {limit} is too large: x**2 + 1 must fit in 64 bits")
 
 
 def _meets(table: array, lo: int, hi: int, slope: int, offset: int):

@@ -267,6 +267,63 @@ def test_extended_gcd_bezout_bulk() -> None:
         assert u * a + v * b == g == math.gcd(a, b)
 
 
+# --- exact division -----------------------------------------------------------
+
+def _exact_bits(n: int, seed: int) -> int:
+    """A fixed pseudo-random int of exactly n bits."""
+    return random.Random(seed).getrandbits(n) | 1 << (n - 1)
+
+
+# Native divmod serves divisors and quotients up to this many bits.
+_LIMIT = arith._DIV_LIMIT
+_B = _exact_bits(3 * _LIMIT + 1, 1)  # odd bit length: the padding branch
+_Q = _exact_bits(2 * _LIMIT + 7, 2)
+
+
+@st.composite
+def _division(draw) -> tuple[int, int]:
+    """(a, b) with a = q*b + r: b and q up to three times the crossover in
+    bits, and r either 0, b - 1 or any remainder."""
+    b_bits = draw(st.integers(1, 3 * _LIMIT))
+    b = draw(st.integers(1 << (b_bits - 1), (1 << b_bits) - 1))
+    q = draw(st.integers(0, 1 << draw(st.integers(0, 3 * _LIMIT))))
+    r = draw(st.sampled_from([0, b - 1]) | st.integers(0, b - 1))
+    return q * b + r, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_division())
+@example((_Q * _B, _B))  # an exact multiple
+@example((_Q * _B - 1, _B))
+@example((_Q * _B + _B - 1, _B))
+@example((_B - 1, _B))  # a < b
+@example((0, _B))
+@example(((_B << _B.bit_length()) - 1, _B))  # every quotient bit set
+@example((_Q << 3 * _LIMIT, 1 << 3 * _LIMIT))  # b = 2**k
+@example((_Q * ((1 << 3 * _LIMIT) - 1) + 5, (1 << 3 * _LIMIT) - 1))  # b = 2**k - 1
+@example((_exact_bits(3 * _LIMIT, 3), _exact_bits(_LIMIT - 1, 4)))  # divisors around the crossover
+@example((_exact_bits(3 * _LIMIT, 3), _exact_bits(_LIMIT, 4)))
+@example((_exact_bits(3 * _LIMIT, 3), _exact_bits(_LIMIT + 1, 4)))
+@example((_exact_bits(2 * _LIMIT + 2, 5), _exact_bits(_LIMIT + 1, 6)))
+def test_divmod_matches_native(case: tuple[int, int]) -> None:
+    a, b = case
+    assert arith._divmod(a, b) == divmod(a, b)
+
+
+@pytest.mark.parametrize("limit", [8, 33])
+def test_divmod_matches_native_when_every_step_recurses(limit: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    # A small crossover sends every size through several levels of 2n/n
+    # and 3n/2n steps, odd and even, that the real one reaches only at
+    # millions of bits.
+    monkeypatch.setattr(arith, "_DIV_LIMIT", limit)
+    rng = random.Random(limit)
+    for _ in range(400):
+        b = _exact_bits(rng.randrange(1, 1500), rng.getrandbits(32))
+        q = rng.getrandbits(rng.randrange(0, 3000))
+        a = max(q * b + rng.choice([0, -1, b - 1, rng.randrange(b)]), 0)
+        assert arith._divmod(a, b) == divmod(a, b), (a, b)
+
+
 # --- Gaussian integers ------------------------------------------------------------
 
 def test_gaussian_basic_ops() -> None:

@@ -1,6 +1,7 @@
 """Each exact decision has one owner: the reading of quarter turns as a
-multiple of t_1 lives in ``gregory``, and the check that p is a prime
-== 1 (mod 4) lives in ``arith``."""
+multiple of t_1 lives in ``gregory``, the check that p is a prime
+== 1 (mod 4) lives in ``arith``, and so does the one division of big
+values that pi's digits pass through, ``arith._divmod``."""
 
 from __future__ import annotations
 
@@ -54,3 +55,21 @@ def test_gaussian_split_has_one_route() -> None:
     func = _function(Path(stormerkit.__file__).parent / "arith.py", "_gaussian_split")
     assert "content" not in _names(func)
     assert "gcd" not in _names(func)
+
+
+def test_pi_divides_only_through_arith_divmod() -> None:
+    defined = [
+        path.name
+        for path in _SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_divmod"
+    ]
+    assert defined == ["arith.py"]
+    pidigits = Path(stormerkit.__file__).parent / "pidigits.py"
+    arctan = _function(pidigits, "_arctan")
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) for node in ast.walk(arctan))
+    decimal = _function(pidigits, "_decimal_digits")
+    assert not any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "divmod"
+        for node in ast.walk(decimal)
+    )

@@ -227,6 +227,25 @@ def test_series_within_stated_bound(term: ArcTerm, prec: int, cap: int | None) -
             assert abs(fp.mantissa - exact) <= pidigits._error_bound(a, b, scale, n)
 
 
+def test_arctan_rounds_the_exact_partial_sum_toward_the_limit() -> None:
+    # Up to _LEAF terms are summed exactly, so the result is exactly
+    # 10**scale * S_n less half a unit floored (odd n) or plus half a unit
+    # ceiled (even n).  Ties occur, e.g. arctan(1/2) at 0 digits over 1 term.
+    ties = 0
+    for a in range(2, 12):
+        for b in range(1, a):
+            for scale in range(4):
+                partial = Fraction(0)
+                for n in range(1, pidigits._LEAF + 1):
+                    k = 2 * n - 1
+                    partial += Fraction((-1) ** (n - 1) * b**k, k * a**k)
+                    half_up = partial * 10**scale + Fraction(1, 2)
+                    expected = math.floor(half_up - 1) if n & 1 else math.ceil(half_up)
+                    ties += half_up.denominator == 1
+                    assert pidigits._arctan(a, b, scale, n) == expected, (a, b, scale, n)
+    assert ties > 0
+
+
 def test_series_terms_follow_the_floored_chain() -> None:
     # for b > 1 the floored chain drifts below the exact powers and can stop
     # a term earlier than the closed form; (3, 2) does so at most scales
@@ -272,6 +291,15 @@ def test_tail_estimate_never_exceeds_matching_digits() -> None:
                 assert 0 <= estimate <= min(matching, digits), (name, digits, cap)
 
 
+def _int_of(digits: str) -> int:
+    """int(digits) by halves, so that a long string costs a few
+    multiplications, where int() on it is quadratic before Python 3.12."""
+    if len(digits) <= 1000:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
+
+
 def test_decimal_string_matches_str() -> None:
     chunk = pidigits._CHUNK_DIGITS
     rng = random.Random(20261018)
@@ -289,6 +317,22 @@ def test_decimal_string_matches_str() -> None:
             assert pidigits._decimal_digits(n) == str(n), len(str(n))
     finally:
         sys.set_int_max_str_digits(limit)
+    # Past str()'s reach in tier-1 time: the digits n was built from.
+    digits = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=500_000))
+    assert pidigits._decimal_digits(_int_of(digits)) == digits
     # FixedPoint.decimal_string places the point on the same digits
     assert FixedPoint(314159 * 10**8995 + 5, 4500, 4500).decimal_string() == "3.14159" + "0" * 4495
     assert FixedPoint(-(10**3000 * 31416), 3004, 0).decimal_string() == "-3.1416" + "0" * 3000
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(10**40), 10**40), st.integers(0, 8), st.integers(0, 6))
+@example(-15, 1, 1)  # -0.15
+@example(-5, 0, 1)  # -0.5
+@example(-1, 3, 2)  # -0.00001
+@example(-(10**9), 3, 6)  # -1 exactly
+def test_decimal_string_truncates_toward_zero(mantissa: int, scale: int, guard: int) -> None:
+    kept = math.trunc(Fraction(mantissa, 10 ** (scale + guard)) * 10**scale)
+    whole, frac = divmod(abs(kept), 10**scale)
+    expected = ("-" if kept < 0 else "") + str(whole) + (f".{frac:0{scale}d}" if scale else "")
+    assert FixedPoint(mantissa, scale, guard).decimal_string() == expected
