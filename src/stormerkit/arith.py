@@ -2,10 +2,11 @@
 
 Everything in this package reduces to a handful of primitives implemented
 here: the one prime sieve (segmented Eratosthenes), deterministic primality
-testing, integer factorization (trial division plus Brent's variant of
-Pollard rho), the extended Euclidean algorithm, recursive division of big
-ints, square roots of -1 modulo a prime, and exact arithmetic in Z[i]
-including factorization into Gaussian primes.
+testing, integer factorization (one gcd with the product of the primes
+below 1000, then Brent's variant of Pollard rho), the extended Euclidean
+algorithm, recursive division of big ints, square roots of -1 modulo a
+prime, and exact arithmetic in Z[i] including factorization into Gaussian
+primes.
 
 Plain Python ints serve as the arbitrary-precision integer type and
 ``fractions.Fraction`` as the rational type; both are exact.
@@ -149,7 +150,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
@@ -158,7 +159,7 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")
@@ -175,11 +176,14 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-# Primes used for the trial-division stage of factorize().  A short prefix is
-# enough: rho handles any cofactor this package meets (values <= ~1e13), and
-# full-table trial division would slow every single-number query.
+# The trial stage of factorize(): one gcd of n with the product of the
+# primes below _TRIAL_LIMIT finds every one of them that divides n, at the
+# cost of one division of that product by n, where a loop would pay one
+# division per prime.  Rho handles any cofactor this package meets
+# (values <= ~1e13).
 _TRIAL_LIMIT = 1000
 _TRIAL_PRIMES = tuple(sieve_primes(_TRIAL_LIMIT))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,12 @@ def factorize(n: int) -> PrimeFactorization:
     """Prime factorization of n >= 1; n = 1 gives the empty factorization."""
     if n <= 0:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    return _trial_factorize(n, _TRIAL_PRIMES)
+    return _trial_factorize(n, _TRIAL_PRIMES, _TRIAL_PRODUCT)
 
 
 # The primes below _TRIAL_LIMIT that can divide a**2 + b**2 with gcd(a, b) = 1.
 _NORM_TRIAL_PRIMES = tuple(p for p in _TRIAL_PRIMES if p % 4 != 3)
+_NORM_TRIAL_PRODUCT = math.prod(_NORM_TRIAL_PRIMES)
 
 
 def _factorize_norm(n: int) -> PrimeFactorization:
@@ -220,22 +225,36 @@ def _factorize_norm(n: int) -> PrimeFactorization:
     are tried.  That skips no possible factor, so the cofactor rule and the
     rho fallback of :func:`factorize` hold unchanged.
     """
-    return _trial_factorize(n, _NORM_TRIAL_PRIMES)
+    return _trial_factorize(n, _NORM_TRIAL_PRIMES, _NORM_TRIAL_PRODUCT)
 
 
-def _trial_factorize(n: int, primes: tuple[int, ...]) -> PrimeFactorization:
-    """Factor n >= 1 by trial division over ``primes`` (every prime below
-    _TRIAL_LIMIT that can divide n), then Brent rho on a composite cofactor."""
+def _trial_factorize(n: int, primes: tuple[int, ...], product: int) -> PrimeFactorization:
+    """Factor n >= 1, given ``primes``, every prime below _TRIAL_LIMIT that
+    can divide n, and ``product``, their product.
+
+    g = gcd(n, product) is the squarefree product of the trial primes that
+    divide n.  Trial division of g while p*p <= g leaves one prime or 1,
+    and each prime found is divided out of n as often as it goes.  The
+    cofactor has no prime below _TRIAL_LIMIT: below _TRIAL_LIMIT**2 it is
+    prime, and Brent rho splits it otherwise.
+    """
     found: dict[int, int] = {}
+    g = math.gcd(n, product)
     for p in primes:
-        if p * p > n:
+        if p * p > g:
             break
+        if g % p == 0:
+            g //= p
+            found[p] = 0
+    if g > 1:
+        found[g] = 0
+    for p in found:
         while n % p == 0:
-            found[p] = found.get(p, 0) + 1
             n //= p
+            found[p] += 1
     if n > 1:
         if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-            found[n] = found.get(n, 0) + 1
+            found[n] = 1
         else:
             _factor_into(n, found)
     return PrimeFactorization(tuple(sorted(found.items())))

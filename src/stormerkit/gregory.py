@@ -9,9 +9,9 @@ has n == +-S(p) (mod p), S(p) being the least residue root of x**2 == -1
 n + i: the first-quadrant prime pi_p dividing S(p) + i, or its conjugate.
 So t_n needs one table entry per rational prime, A(p) = Arg(pi_p) over the
 basis, and A(p) itself reduces the same way through the factors of
-S(p)**2 + 1, which lie below p except p itself (Stormer 1896; Todd 1949,
-who proved the result unique).  The prime over 2 is 1 + i, of argument t_1,
-and units contribute quarter turns, 2*t_1 each.
+(S(p)**2 + 1)/p, all below p (Stormer 1896; Todd 1949, who proved the
+result unique).  The prime over 2 is 1 + i, of argument t_1, and units
+contribute quarter turns, 2*t_1 each.
 
 Every angle sum is read in exact quarter turns (Stormer 1899; Lehmer, "On
 arccotangent relations for pi", 1938): sum(e * Arg(a + bi)) = q * pi/2 +
@@ -123,6 +123,14 @@ class GregoryCombo:
             if coef:
                 merged[term] = merged.get(term, 0) + coef
         self._terms = {t: c for t, c in merged.items() if c}
+
+    @classmethod
+    def _canonical(cls, terms: dict[ArcTerm, int]) -> "GregoryCombo":
+        """The combo over ``terms``, a dict no one else holds whose keys are
+        ArcTerms and whose coefficients are nonzero, taken as it is."""
+        combo = cls.__new__(cls)
+        combo._terms = terms
+        return combo
 
     @staticmethod
     def of_integers(coeffs: Mapping[int, int]) -> "GregoryCombo":
@@ -392,6 +400,8 @@ _t_memo: dict[int, dict[int, int]] = {}
 # p == 1 (mod 4) -> (a, b, A(p)): a + bi is the first-quadrant Gaussian prime
 # dividing S(p) + i, and A(p) its argument over the Stormer basis.
 _prime_memo: dict[int, tuple[int, int, dict[int, int]]] = {}
+# s -> t_s as an ArcTerm, built once for every s a result of decompose names.
+_basis_terms: dict[int, ArcTerm] = {}
 
 
 def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
@@ -399,11 +409,10 @@ def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
         dst[s] = dst.get(s, 0) + scale * c
 
 
-def _factor_args(
-    x: int, norm: arith.PrimeFactorization, skip: int = 0
-) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+def _factor_args(x: int, norm: arith.PrimeFactorization) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
     """The Gaussian primes of x + i over the factors of ``norm``, the prime
-    factorization of x**2 + 1, other than the one over ``skip``.
+    factorization of x**2 + 1, or of (x**2 + 1)/p for a prime p that
+    divides it once.
 
     Returns (combo, powers): ``combo`` is the sum of their arguments over the
     Stormer basis, and ``powers`` the triples (a, b, e) of their product for
@@ -418,7 +427,7 @@ def _factor_args(
         if q == 2:
             combo[1] = combo.get(1, 0) + e
             powers.append((1, 1, e))
-        elif q != skip:
+        else:
             r = x % q
             sign = 1 if 2 * r < q else -1
             a, b, arg = _prime_entry(q, min(r, q - r))
@@ -434,8 +443,9 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
 
     s is a Stormer number, as p >= 2s + 1 is the largest prime of s**2 + 1.
     If s**2 + 1 = p, s + i is pi_p and A(p) = t_s.  Otherwise p divides
-    s**2 + 1 < p**2 / 4 + 1 once, and every other prime factor is below p.
-    The quarter turns k of pi_p times the other Gaussian primes of s + i
+    s**2 + 1 < p**2 / 4 + 1 once, and m = (s**2 + 1)/p < p/4 is the norm of
+    (s + i)/pi_p, of content 1, so its primes are those of s + i other than
+    pi_p.  The quarter turns k of pi_p times the Gaussian primes over m
     (:func:`_factor_args`) put their product at i**k * (s + i), so A(p) is
     t_s less the other primes' arguments plus 2*k*t_1.
     """
@@ -444,8 +454,9 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
         g = arith.gaussian_gcd(GaussianInt(p, 0), GaussianInt(s, 1))
         _, a, b = arith._quarter(g.re, g.im)
         arg = {s: 1}
-        if s * s + 1 != p:
-            others, powers = _factor_args(s, arith._factorize_norm(s * s + 1), p)
+        m = (s * s + 1) // p
+        if m != 1:
+            others, powers = _factor_args(s, arith._factorize_norm(m))
             powers.append((a, b, 1))
             _add(arg, others, -1)
             arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
@@ -479,7 +490,16 @@ def decompose(n: int) -> GregoryCombo:
     powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in combo.items()]
     if _t1_multiple(*_turns(powers)) != 0:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
-    return GregoryCombo({ArcTerm.integer(s): c for s, c in combo.items()})
+    return GregoryCombo._canonical({_basis_term(s): c for s, c in combo.items()})
+
+
+def _basis_term(s: int) -> ArcTerm:
+    """t_s from _basis_terms, built on first use.  Outside the memo lock two
+    threads may both build it; the two are equal and immutable."""
+    term = _basis_terms.get(s)
+    if term is None:
+        term = _basis_terms[s] = ArcTerm.integer(s)
+    return term
 
 
 def is_irreducible(n: int) -> bool:

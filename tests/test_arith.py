@@ -230,6 +230,89 @@ def test_factorize_norm_of_coprime_squares_matches_sympy(a: int, b: int) -> None
     assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
 
 
+# The trial stage takes g = gcd(n, product of the trial primes), splits g and
+# divides each prime of g out of n as often as it goes.  Inputs are drawn as
+# prime powers up to just past _TRIAL_LIMIT times a tail, so that g holds
+# several primes, some to powers above 1, with one left over after the split.
+_NEAR_LIMIT = sieve_primes(1100)
+_NEAR_LIMIT_NORM = [p for p in _NEAR_LIMIT if p % 4 == 1]
+
+
+def _first_quadrant_prime(p: int) -> GaussianInt:
+    """a + bi with a**2 + b**2 = p, for p == 1 (mod 4), by search."""
+    a = next(a for a in range(1, math.isqrt(p) + 1) if math.isqrt(p - a * a) ** 2 == p - a * a)
+    return GaussianInt(a, math.isqrt(p - a * a))
+
+
+@st.composite
+def _trial_prime_products(draw: st.DrawFn) -> int:
+    powers = draw(st.dictionaries(st.sampled_from(_NEAR_LIMIT), st.integers(1, 4), max_size=6))
+    return math.prod(p**e for p, e in powers.items()) * draw(st.just(1) | st.integers(1, 10**6))
+
+
+@st.composite
+def _content_one_norms(draw: st.DrawFn) -> int:
+    """The norm of (1 + i)**(0 or 1) times powers of Gaussian primes over
+    distinct p == 1 (mod 4), each taken or conjugated: content 1."""
+    z = GaussianInt(1, draw(st.integers(0, 1)))
+    powers = draw(st.dictionaries(st.sampled_from(_NEAR_LIMIT_NORM), st.integers(1, 4), max_size=5))
+    for p, e in powers.items():
+        pi = _first_quadrant_prime(p)
+        z = z * (pi.conjugate() if draw(st.booleans()) else pi) ** e
+    assert math.gcd(z.re, z.im) == 1
+    return z.norm()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trial_prime_products())
+@example(1)
+@example(2**40)
+@example(5**17 * 13**3)
+@example(997)  # the largest trial prime
+@example(1009)  # the smallest prime past it
+@example(997**2)  # below _TRIAL_LIMIT**2, so only the gcd can split it
+@example(1009**2)
+@example(1009 * 1013)
+@example(997**2 * 1009)
+@example(1000003)  # a prime just above 10**6
+def test_factorize_of_trial_prime_products_matches_sympy(n: int) -> None:
+    assert dict(factorize(n).factors) == sympy.factorint(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_content_one_norms())
+@example(1)
+@example(2)
+@example(5**17 * 13**3)
+@example(997)
+@example(1009)
+@example(997**2)
+@example(1009**2)
+@example(1009 * 1013)
+@example(997**2 * 1009)
+@example(1000033)  # a prime == 1 (mod 4) just above 10**6
+def test_factorize_norm_of_gaussian_products_matches_sympy(n: int) -> None:
+    assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
+
+
+@pytest.mark.parametrize(
+    "primes, factor", [(_NEAR_LIMIT, factorize), (_NEAR_LIMIT_NORM, arith._factorize_norm)], ids=["all", "norm"]
+)
+def test_trial_stage_finds_each_prime_to_its_power(primes: list[int], factor) -> None:
+    # A trial prime missing from the gcd leaves its square, below
+    # _TRIAL_LIMIT**2, to the cofactor rule, which would call it prime.  In
+    # p**2 * q**3 for neighbours p < q, q is the prime g leaves over.
+    for p, q in zip(primes, primes[1:]):
+        assert factor(p**2).factors == ((p, 2),), p
+        assert factor(p**2 * q**3).factors == ((p, 2), (q, 3)), (p, q)
+
+
+def test_factorize_norm_of_x_squared_plus_one_to_2e4() -> None:
+    for x in range(1, 20001):
+        n = x * x + 1
+        assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n), x
+
+
 # --- extended gcd ---------------------------------------------------------------
 
 def test_extended_gcd_examples() -> None:

@@ -405,6 +405,60 @@ def test_prime_table_matches_mpmath(monkeypatch: pytest.MonkeyPatch) -> None:
     assert turned == {"n": 535, "p": 183}
 
 
+def test_prime_entry_factors_only_the_cofactor(monkeypatch: pytest.MonkeyPatch) -> None:
+    # From cold memos, every p == 1 (mod 4) below 2*10**4: A(p) is built from
+    # the factors of m = (S(p)**2 + 1)/p < p/4, never of a multiple of p.
+    monkeypatch.setattr(gregory, "_t_memo", {})
+    monkeypatch.setattr(gregory, "_prime_memo", {})
+    calls = []
+    real = arith._factorize_norm
+
+    def spy(n: int):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "_factorize_norm", spy)
+    primes = [p for p in sympy.primerange(5, 2 * 10**4) if p % 4 == 1]
+    for p in primes:
+        s = min(sympy.sqrt_mod(-1, p, all_roots=True))
+        calls.clear()
+        a, b, arg = gregory._prime_entry(p, s)
+        assert all(n % p and 4 * n < p for n in calls), p
+        assert a * a + b * b == p and a > 0 and b > 0
+        # (a + bi) divides s + i: (s + i)(a - bi) is p times a Gaussian integer.
+        assert (s * a + b) % p == 0 and (a - s * b) % p == 0
+    assert set(gregory._prime_memo) >= set(primes)
+    with mpmath.workdps(50):
+        for p in primes:
+            a, b, arg = gregory._prime_memo[p]
+            value = mpmath.fsum(c * mpmath.atan(mpmath.mpf(1) / s) for s, c in arg.items())
+            assert abs(value - mpmath.atan2(b, a)) < mpmath.mpf(10) ** -40, p
+
+
+def _sweep_large_n() -> list[int]:
+    """The 200 large arguments of the benchmark's decompose sweep: one
+    log-uniform draw in each of 200 equal log-strata of [10 001, 10**6],
+    from random.Random(101)."""
+    rng = random.Random(101)
+    lo, hi = math.log(10_001), math.log(10**6)
+    width = (hi - lo) / 200
+    return [max(10_001, min(10**6, int(math.exp(lo + (j + rng.random()) * width)))) for j in range(200)]
+
+
+def test_decompose_result_equals_the_public_construction() -> None:
+    for n in [*range(1, 3001), *_sweep_large_n()]:
+        fast = decompose(n)
+        public = GregoryCombo({ArcTerm.integer(s): c for s, c in gregory._t_memo[n].items()})
+        assert fast == public and hash(fast) == hash(public), n
+        assert fast.items() == public.items() and fast.terms() == public.terms()
+        assert str(fast) == str(public) and fast.to_json() == public.to_json()
+        # Neither the returned copy nor the result's own dict is shared with
+        # the memo or with a later result.
+        fast.terms().clear()
+        fast._terms[T(n + 1)] = 1
+        assert decompose(n) == public, n
+
+
 # --- independent oracle: valuation peeling ----------------------------------------
 
 @lru_cache(maxsize=None)

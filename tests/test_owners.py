@@ -1,7 +1,9 @@
 """Each exact decision has one owner: the reading of quarter turns as a
 multiple of t_1 lives in ``gregory``, the check that p is a prime
 == 1 (mod 4) lives in ``arith``, and so does the one division of big
-values that pi's digits pass through, ``arith._divmod``."""
+values that pi's digits pass through, ``arith._divmod``.  ``decompose``
+returns its canonical memo entry without re-checking it, and A(p) is built
+from the factors of (S(p)**2 + 1)/p."""
 
 from __future__ import annotations
 
@@ -73,3 +75,27 @@ def test_pi_divides_only_through_arith_divmod() -> None:
         isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "divmod"
         for node in ast.walk(decimal)
     )
+
+
+def test_decompose_returns_through_the_private_constructor() -> None:
+    # The memo entry is canonical already: decompose neither re-checks it in
+    # GregoryCombo() nor builds a fresh ArcTerm per term.
+    func = _function(Path(stormerkit.__file__).parent / "gregory.py", "decompose")
+    calls = [node.func for node in ast.walk(func) if isinstance(node, ast.Call)]
+    assert not any(isinstance(f, ast.Name) and f.id == "GregoryCombo" for f in calls)
+    assert not any(
+        isinstance(f, ast.Attribute) and f.attr == "integer" and isinstance(f.value, ast.Name) and f.value.id == "ArcTerm"
+        for f in calls
+    )
+
+
+def test_prime_entry_factors_the_cofactor_not_s_squared_plus_one() -> None:
+    func = _function(Path(stormerkit.__file__).parent / "gregory.py", "_prime_entry")
+    s_squared_plus_one = ast.dump(ast.parse("s * s + 1", mode="eval").body)
+    factored = [
+        ast.dump(arg)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and "_factorize_norm" in _names(node.func)
+        for arg in node.args
+    ]
+    assert factored and s_squared_plus_one not in factored
