@@ -372,15 +372,44 @@ def sqrt_minus_one_mod_p(p: int) -> int:
 def _sqrt_minus_one(p: int) -> int:
     """:func:`sqrt_minus_one_mod_p` for p already known to be a prime == 1 (mod 4).
 
-    a**((p-1)/4) squares to -1 exactly when a is a non-residue, so the first
-    a whose power does is the least non-residue.
+    a**((p-1)/4) squares to -1 exactly when a is a non-residue.  The base is
+    the least non-residue, from :func:`_least_non_residue`, so one ``pow``
+    finds the root.  Should that power not square to -1 (only possible for
+    a p that is not a prime == 1 (mod 4)), the bases a = 2, 3, 4, ... are
+    tried in turn, and the first whose power does is again the least
+    non-residue.
     """
     e = (p - 1) // 4
+    x = pow(_least_non_residue(p), e, p)
+    if x * x % p == p - 1:
+        return x
     for a in range(2, p):
         x = pow(a, e, p)
         if x * x % p == p - 1:
             return x
     raise ArithmeticError(f"no square root of -1 modulo {p}: {p} is not a prime == 1 (mod 4)")
+
+
+# The odd primes that _least_non_residue tries, in ascending order.
+_ODD_TRIAL_PRIMES = _TRIAL_PRIMES[1:]
+
+
+def _least_non_residue(p: int) -> int:
+    """The least quadratic non-residue modulo a prime p == 1 (mod 4), or 2
+    if none is below _TRIAL_LIMIT.
+
+    The least non-residue is prime, since a product of residues is a
+    residue.  2 is one exactly when p == 5 (mod 8).  For an odd prime q,
+    reciprocity gives (q/p) = (p/q), as p == 1 (mod 4), and Euler's
+    criterion reads (p/q) from (p mod q)**((q-1)/2) mod q, a power of small
+    ints.
+    """
+    if p % 8 == 5:
+        return 2
+    for q in _ODD_TRIAL_PRIMES:
+        if pow(p % q, q >> 1, q) == q - 1:
+            return q
+    return 2
 
 
 def _quarter(re: int, im: int) -> tuple[int, int, int]:

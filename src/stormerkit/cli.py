@@ -9,19 +9,25 @@ nothing on stdout.  Long-running commands report progress on stderr only,
 keeping stdout machine-clean, and only after the library check that owns
 each input has accepted it, so a refused input leaves only its ``error:``
 line.  Bulk enumeration runs in one process, as one sieve of x^2 + 1 by the
-roots +-S(p).
+roots +-S(p) that takes a block of x at a time.  ``stormer list`` streams:
+its values are rendered a few thousand at a time as the sieve finds them,
+so neither the values nor their strings are all held at once, and the
+bytes are the same as those of the whole list rendered in one piece.
 
 Each command body calls the library and returns its JSON payload and a text
 renderer, plus a csv renderer where the command has one; :func:`_formatted`
-renders only the chosen format.
+renders only the chosen format, and :func:`_write` is the one place any
+output is written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 import click
 
@@ -50,25 +56,45 @@ def _formatted(body: Callable[..., tuple]) -> Callable[..., None]:
 
     The body returns ``(payload, text)`` or ``(payload, text, csv)``, where
     text and csv are renderers taking no arguments; csv falls back to text.
-    Only the chosen format is rendered, and it goes to stdout or the file.
+    payload is the JSON payload, or a renderer of its ``json.dumps``.  A
+    renderer returns one str or an iterable of str chunks.  Only the chosen
+    format is rendered, and :func:`_write` sends it to stdout or the file.
     """
 
     @functools.wraps(body)
     def command(fmt: str, out: str | None, **kwargs) -> None:
         payload, text, *csv = body(**kwargs)
         if fmt == "json":
-            rendered = json.dumps(payload, sort_keys=True)
+            rendered = payload() if callable(payload) else json.dumps(payload, sort_keys=True)
         elif fmt == "csv" and csv:
             rendered = csv[0]()
         else:
             rendered = text()
-        if out:
-            with open(out, "w") as fh:
-                fh.write(rendered + "\n")
-        else:
-            click.echo(rendered)
+        _write([rendered] if isinstance(rendered, str) else rendered, out)
 
     return _FORMAT(_OUT(command))
+
+
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """The one place a command's output is written: the chunks in turn and
+    a newline, to the file ``out`` or, without one, to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext() as fh:
+        for chunk in chunks:
+            click.echo(chunk, file=fh, nl=False)
+        click.echo(file=fh)
+
+
+# Values rendered at a time by _joined.
+_CHUNK = 4096
+
+
+def _joined(values: Iterator, sep: str) -> Iterator[str]:
+    """``sep.join(map(str, values))`` in chunks of _CHUNK values, so that the
+    values and their strings are never all held at once."""
+    lead = ""
+    while chunk := sep.join(map(str, islice(values, _CHUNK))):
+        yield lead + chunk
+        lead = sep
 
 
 class _Group(click.Group):
@@ -140,11 +166,14 @@ def stormer_list(limit: int, convention: str | None) -> tuple:
     stormer._check_table_limit(limit)
     if limit >= 10**5:
         click.echo(f"enumerating Stormer numbers up to {limit}...", err=True)
-    values = stormer.enumerate_stormer(limit, conv)
+    # Each renderer streams the values from a sieve of its own: only the
+    # chosen one runs, and it holds one block and one chunk at a time.
+    values = functools.partial(stormer._stormer_numbers, limit, conv)
+    head, tail = json.dumps({"limit": limit, "convention": conv.value, "values": []}, sort_keys=True).split("[]")
     return (
-        {"limit": limit, "convention": conv.value, "values": values},
-        lambda: " ".join(str(v) for v in values),
-        lambda: "\n".join(["x0"] + [str(v) for v in values]),
+        lambda: chain([head, "["], _joined(values(), ", "), ["]", tail]),
+        lambda: _joined(values(), " "),
+        lambda: _joined(chain(["x0"], values()), "\n"),
     )
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from . import arith
-from .stormer import Convention, _largest_prime_factors, _meets
+from .stormer import Convention, _meets
 
 __all__ = [
     "DensityReport",
@@ -54,19 +55,19 @@ def density_sweep(limits: Sequence[int], measure: str = "inclusive") -> list[Den
 
     ``measure`` is "inclusive" or "strict" (Stormer numbers under that
     convention) or "large-factor".  Every count is read from one sieve of
-    x**2 + 1 up to the largest limit, and each x is tested once.
+    x**2 + 1 up to the largest limit, a block of x at a time, and each x is
+    tested once.
     """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
     if not limits or limits[0] < 1 or list(limits) != sorted(limits):
         raise ValueError(f"expected ascending limits >= 1, got {list(limits)}")
-    slope, offset = _MEASURES[measure]
-    table = _largest_prime_factors(limits[-1])
-    reports, count, lo = [], 0, 1
+    meets = _meets(limits[-1], *_MEASURES[measure])
+    reports, count, done = [], 0, 0
     for limit in limits:
-        count += sum(_meets(table, lo, limit, slope, offset))
+        count += sum(islice(meets, limit - done))
         reports.append(DensityReport.build(limit, count, measure))
-        lo = limit + 1
+        done = limit
     return reports
 
 

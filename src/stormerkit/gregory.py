@@ -100,8 +100,11 @@ class ArcTerm:
         return f"t{self.re}" if self.im == 1 else f"t{self.re}/{self.im}"
 
 
-def _sort_key(term: ArcTerm) -> Fraction:
-    return term.x
+def _sort_key(item: tuple[ArcTerm, int]) -> int | Fraction:
+    """t_x ordered by x: an integer term by re alone, since an int and a
+    Fraction compare exactly, and a Fraction built only when im > 1."""
+    term = item[0]
+    return term.re if term.im == 1 else Fraction(term.re, term.im)
 
 
 class GregoryCombo:
@@ -145,7 +148,7 @@ class GregoryCombo:
         return dict(self._terms)
 
     def items(self) -> list[tuple[ArcTerm, int]]:
-        return sorted(self._terms.items(), key=lambda tc: _sort_key(tc[0]))
+        return sorted(self._terms.items(), key=_sort_key)
 
     def __len__(self) -> int:
         return len(self._terms)

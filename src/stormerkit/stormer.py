@@ -13,8 +13,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice
+from itertools import chain, compress, count, islice
 from operator import ge
+from typing import Iterator
 
 from . import arith
 
@@ -100,58 +101,114 @@ def check_factor_residues(x0: int) -> bool:
     return all(p == 2 or p % 4 == 1 for p in arith.factorize(x0 * x0 + 1).primes())
 
 
-def _largest_prime_factors(limit: int) -> array:
-    """Table t with t[x] the largest prime factor of x**2 + 1 for 1 <= x <= limit.
+# Values of x per block of :func:`_lpf_blocks`: a block's 8-byte entries
+# fill one arith._SEGMENT, 1 MB.
+_BLOCK = arith._SEGMENT // 8
 
-    One sieve over the values x**2 + 1, with no candidate factored on its
-    own.  The only primes dividing x**2 + 1 are 2, for odd x, and the primes
-    p == 1 (mod 4) with x == +-S(p) (mod p), so walking those two residues
-    with stride p finds every multiple of p.  Primes are taken in ascending
-    order and divided out as often as they go; an entry that drops to 1
-    becomes the prime that emptied it, which is then its largest.  After
-    every p <= limit, an entry still above 1 is a single prime > limit (two
-    would exceed limit**2 + 1), so every entry is exact.
+
+def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
+    """Yield (lo, t) for lo = 0, _BLOCK, 2*_BLOCK, ... <= limit, where t[x - lo]
+    is the largest prime factor of x**2 + 1 for lo <= x <= min(lo + _BLOCK - 1,
+    limit), and 1 for x = 0.
+
+    A segmented sieve (Bays & Hudson, 1977) over the values x**2 + 1, with no
+    candidate factored on its own.  The only primes dividing x**2 + 1 are 2,
+    for odd x, and the primes p == 1 (mod 4) with x == +-S(p) (mod p), so
+    walking those two residues with stride p finds every multiple of p.
+    Each block takes the primes below its end: the primes below _BLOCK keep
+    their next x on each root in compact arrays, and a larger prime, which
+    hits a block at most once per root, waits in the bucket of the block its
+    next x falls in.  In a block the primes go in ascending order, the small
+    ones and then the bucket sorted by p, and each is divided out as often
+    as it goes; an entry that drops to 1 becomes the prime that emptied it,
+    which is then its largest.  After every p <= x, the entry of x is 1 or
+    a single prime > x (two would exceed x**2 + 1), so every entry is exact.
+    Memory is one block plus a few words per prime == 1 (mod 4) up to limit.
     """
     _check_table_limit(limit)
-    # x**2 + 1 == 2 (mod 4) for odd x, so one shift takes out the prime 2.
-    t = array("Q", ((x * x + 1) >> (x & 1) for x in range(limit + 1)))
-    if limit >= 1:
-        t[1] = 2
-    stop = limit + 1
-    for pair in prime_stormer_table(limit):
-        p = pair.p
-        for start in (pair.x0, p - pair.x0):
-            for x in range(start, stop, p):
-                v = t[x] // p
-                while v % p == 0:
-                    v //= p
-                t[x] = v if v > 1 else p
-    return t
+    size = _BLOCK
+    # Primes p < size, with the next x >= the current block on each root.
+    small, near, far = array("Q"), array("Q"), array("Q")
+    # Primes p >= size in ascending order.  buckets[b] holds i*size + x - b*size
+    # for each root of large[i] whose next x lies in block b; sorting it sorts by p.
+    large = array("Q")
+    buckets = [array("Q") for _ in range(limit // size + 1)]
+    for b, lo in enumerate(range(0, limit + 1, size)):
+        hi = min(lo + size, limit + 1)
+        # x**2 + 1 == 2 (mod 4) for odd x, so one shift takes out the prime 2.
+        t = array("Q", ((x * x + 1) >> (x & 1) for x in range(lo, hi)))
+        if lo <= 1 < hi:
+            t[1 - lo] = 2
+        for p in arith._primes_between(lo, hi - 1):
+            if p % 4 != 1:
+                continue
+            root = arith._sqrt_minus_one(p)
+            if p < size:
+                small.append(p)
+                near.append(root)
+                far.append(p - root)
+                continue
+            i = len(large)
+            large.append(p)
+            for x in (root, p - root):
+                if x < lo:
+                    # x < p, so p is the largest prime factor of x**2 + 1,
+                    # which the sieve leaves in its entry anyway.
+                    x += p
+                if x <= limit:
+                    buckets[x // size].append(i * size + x % size)
+        for i, p in enumerate(small):
+            for roots in (near, far):
+                start = roots[i]
+                for x in range(start - lo, hi - lo, p):
+                    v = t[x] // p
+                    while v % p == 0:
+                        v //= p
+                    t[x] = v if v > 1 else p
+                roots[i] = start + len(range(start, hi, p)) * p
+        bucket, buckets[b] = buckets[b], None
+        for code in sorted(bucket):
+            i, x = divmod(code, size)
+            p = large[i]
+            v = t[x] // p
+            while v % p == 0:
+                v //= p
+            t[x] = v if v > 1 else p
+            x += lo + p
+            if x <= limit:
+                buckets[x // size].append(i * size + x % size)
+        yield lo, t
 
 
 def _check_table_limit(limit: int) -> None:
-    """Refuse a limit of :func:`_largest_prime_factors` whose x**2 + 1 would
-    not fit the table's 64-bit entries."""
+    """Refuse a limit of :func:`_lpf_blocks` whose x**2 + 1 would not fit
+    the blocks' 64-bit entries."""
     if limit >= 1 << 32:
         raise ValueError(f"limit {limit} is too large: x**2 + 1 must fit in 64 bits")
 
 
-def _meets(table: array, lo: int, hi: int, slope: int, offset: int):
-    """For lo <= x <= hi in turn, whether table[x] >= slope*x + offset."""
-    return map(ge, islice(table, lo, hi + 1), range(slope * lo + offset, slope * (hi + 1) + offset, slope))
+def _meets(limit: int, slope: int, offset: int) -> Iterator[bool]:
+    """For x = 1, 2, ..., limit in turn, whether the largest prime factor of
+    x**2 + 1 is >= slope*x + offset, read block by block from :func:`_lpf_blocks`."""
+    flags = chain.from_iterable(
+        map(ge, t, range(slope * lo + offset, slope * (lo + len(t)) + offset, slope)) for lo, t in _lpf_blocks(limit)
+    )
+    return islice(flags, 1, None)  # x = 0 is no candidate
+
+
+def _stormer_numbers(limit: int, convention: Convention) -> Iterator[int]:
+    """The Stormer numbers <= limit in ascending order, computed as they are read."""
+    # _threshold(x, convention) == 2*x + _threshold(0, convention)
+    return compress(count(1), _meets(limit, 2, _threshold(0, convention)))
 
 
 def enumerate_stormer(limit: int, convention: Convention = Convention.INCLUSIVE) -> list[int]:
     """Ascending list of all Stormer numbers <= limit.
 
     The largest prime factor of every x**2 + 1 comes from one sieve by the
-    roots +-S(p) of the primes p <= limit.
+    roots +-S(p) of the primes p <= limit, taken a block of x at a time.
     """
-    if limit < 1:
-        return []
-    table = _largest_prime_factors(limit)
-    # _threshold(x, convention) == 2*x + _threshold(0, convention)
-    return list(compress(range(1, limit + 1), _meets(table, 1, limit, 2, _threshold(0, convention))))
+    return list(_stormer_numbers(limit, convention))
 
 
 def prime_stormer_table(prime_limit: int) -> list[StormerPair]:

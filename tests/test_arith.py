@@ -603,3 +603,35 @@ def test_sqrt_minus_one_mod_p_bulk() -> None:
             x = sqrt_minus_one_mod_p(p)
             assert 1 <= x <= p - 1
             assert (x * x + 1) % p == 0
+
+
+def _least_non_residue_by_search(p: int) -> int:
+    """The least a whose a**((p-1)/2) is -1 mod p, found by trying a = 2, 3, ..."""
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+
+
+def _check_root(p: int) -> None:
+    x = arith._sqrt_minus_one(p)
+    assert min(x, p - x) == sympy.sqrt_mod(p - 1, p)
+    # One pow of the least non-residue: the same base, and so the same root,
+    # as trying a = 2, 3, ... in turn.
+    base = _least_non_residue_by_search(p)
+    assert arith._least_non_residue(p) == base
+    assert x == pow(base, (p - 1) // 4, p)
+
+
+def test_sqrt_minus_one_matches_sympy_below_2e5() -> None:
+    for p in sieve_primes(2 * 10**5):
+        if p % 4 == 1:
+            _check_root(p)
+
+
+def test_sqrt_minus_one_matches_sympy_from_20_to_90_bits() -> None:
+    rng = random.Random(20_90)
+    for bits in range(20, 91):
+        found = 0
+        while found < 30:
+            p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            if p % 4 == 1 and sympy.isprime(p):
+                _check_root(p)
+                found += 1

@@ -191,7 +191,7 @@ _REFUSED_BEFORE_PROGRESS = [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fmt", _FORMATS)
 @pytest.mark.parametrize("args", _REFUSED_BEFORE_PROGRESS)
 def test_domain_error_is_the_only_stderr_line(args: list[str], fmt: str) -> None:
     result = CliRunner().invoke(cli, [*args, "--format", fmt])

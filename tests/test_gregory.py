@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -64,6 +65,17 @@ def test_combo_json_round_trip() -> None:
     assert restored == c
     # integer shorthand accepted on input
     assert GregoryCombo.from_json({"terms": [{"n": 5, "coef": 4}]}) == combo({5: 4})
+
+
+_ARC_TERMS = st.builds(ArcTerm.of, st.integers(1, 400), st.integers(1, 12)) | st.builds(T, st.integers(1, 400))
+
+
+@given(st.dictionaries(_ARC_TERMS, st.integers(-5, 5).filter(bool), max_size=12))
+@example({T(3): 1, ArcTerm(7, 2): 1, ArcTerm(5, 2): -1, T(2): 1, ArcTerm(7, 3): 4})
+def test_items_are_ordered_by_the_fraction_re_over_im(terms: dict[ArcTerm, int]) -> None:
+    # Integer terms are sorted by re alone: the order must be that of x = re/im.
+    expected = sorted(terms.items(), key=lambda tc: Fraction(tc[0].re, tc[0].im))
+    assert GregoryCombo(terms).items() == expected
 
 
 # --- verification ---------------------------------------------------------------

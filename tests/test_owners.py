@@ -3,7 +3,8 @@ multiple of t_1 lives in ``gregory``, the check that p is a prime
 == 1 (mod 4) lives in ``arith``, and so does the one division of big
 values that pi's digits pass through, ``arith._divmod``.  ``decompose``
 returns its canonical memo entry without re-checking it, and A(p) is built
-from the factors of (S(p)**2 + 1)/p."""
+from the factors of (S(p)**2 + 1)/p.  The x**2 + 1 sieve holds one block of
+x at a time, and the CLI writes its output in one function."""
 
 from __future__ import annotations
 
@@ -99,3 +100,44 @@ def test_prime_entry_factors_the_cofactor_not_s_squared_plus_one() -> None:
         for arg in node.args
     ]
     assert factored and s_squared_plus_one not in factored
+
+
+def test_stormer_builds_no_whole_range_table() -> None:
+    # The sieve is read a block at a time: no array is sized by the limit,
+    # and the block generator holds no list of primes or StormerPairs up to it.
+    stormer_py = Path(stormerkit.__file__).parent / "stormer.py"
+    tree = ast.parse(stormer_py.read_text(), filename=str(stormer_py))
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_lpf_blocks" in functions and "_largest_prime_factors" not in functions
+    arrays = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and "array" in _names(node.func)]
+    assert arrays and not any("limit" in _names(arg) for node in arrays for arg in node.args)
+    blocks = _function(stormer_py, "_lpf_blocks")
+    assert not _names(blocks) & {"prime_stormer_table", "StormerPair", "sieve_primes", "_pair"}
+
+
+def _output_writers(tree: ast.AST) -> list[str]:
+    """The name of the innermost function around each call that writes
+    output: ``open``, ``.write``, ``print`` and ``echo`` without ``err=True``."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _names(child.func) & {"open", "write", "print", "echo", "secho"}:
+                to_stderr = any(
+                    k.arg == "err" and isinstance(k.value, ast.Constant) and k.value.value for k in child.keywords
+                )
+                if not to_stderr:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_cli_writes_output_in_one_place() -> None:
+    cli_py = Path(stormerkit.__file__).parent / "cli.py"
+    writers = _output_writers(ast.parse(cli_py.read_text(), filename=str(cli_py)))
+    assert writers and set(writers) == {"_write"}

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+from array import array
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stormerkit.arith import is_prime, largest_prime_factor
-from stormerkit.density import count_large_factor
+from stormerkit import stormer
+from stormerkit.density import count_large_factor, density_sweep
 from stormerkit.stormer import (
     Convention,
-    _largest_prime_factors,
+    _lpf_blocks,
     check_factor_residues,
     enumerate_stormer,
     is_stormer,
@@ -91,6 +94,16 @@ def test_enumerate_strict_drops_only_one() -> None:
     assert strict == [x for x in TABLE2 if x != 1]
 
 
+def _largest_prime_factors(limit: int) -> array:
+    """The blocks of :func:`_lpf_blocks` joined: entry x is the largest prime
+    factor of x**2 + 1 (1 for x = 0), and each block starts where the last ended."""
+    table = array("Q")
+    for lo, block in _lpf_blocks(limit):
+        assert lo == len(table) and 0 < len(block) <= stormer._BLOCK
+        table.extend(block)
+    return table
+
+
 def test_sieve_table_matches_factoring() -> None:
     limit = 2 * 10**4
     table = _largest_prime_factors(limit)
@@ -123,6 +136,66 @@ def test_sieve_measures_match_per_candidate_oracle(limit: int) -> None:
     assert enumerate_stormer(limit, Convention.STRICT) == [x for x, (_, strict, _) in rows if strict]
     assert enumerate_stormer(limit, Convention.INCLUSIVE) == [x for x, (_, _, inc) in rows if inc]
     assert count_large_factor(limit).count == sum(1 for x, (lpf, _, _) in rows if lpf > x)
+
+
+# Block sizes for the block-edge tests: at 7 only the prime 5 is below the
+# block size and every other prime waits in the buckets; at 64 the primes
+# 5..61 walk their roots from block to block.
+_SMALL_BLOCKS = (7, 64)
+
+
+def _block_edge_limits(size: int) -> list[int]:
+    return [size - 1, size, size + 1, 2 * size + 1, 3 * size]
+
+
+@pytest.mark.parametrize("size", _SMALL_BLOCKS)
+def test_blocks_match_factoring_at_block_edges(size: int) -> None:
+    oracle = [lpf for lpf, _, _ in _per_candidate()]
+    with mock.patch.object(stormer, "_BLOCK", size):
+        for limit in [*_block_edge_limits(size), 0, 1, 2, 3000]:
+            assert list(_largest_prime_factors(limit)) == [1, *oracle[:limit]], limit
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_SMALL_BLOCKS), st.integers(0, 3000))
+def test_blocks_match_factoring_below_3000(size: int, limit: int) -> None:
+    oracle = [lpf for lpf, _, _ in _per_candidate()]
+    with mock.patch.object(stormer, "_BLOCK", size):
+        assert list(_largest_prime_factors(limit)) == [1, *oracle[:limit]]
+
+
+def test_a_bucketed_root_past_the_limit_is_dropped() -> None:
+    # p = 13 >= 7 joins the buckets in block [7, 14): its root 8 is hit there
+    # and recurs at 21, past the limit 20; its root 5 lies below the block and
+    # is first hit at 18.
+    with mock.patch.object(stormer, "_BLOCK", 7):
+        table = _largest_prime_factors(20)
+    assert list(table)[1:] == [largest_prime_factor(x * x + 1) for x in range(1, 21)]
+
+
+@pytest.mark.parametrize("size", _SMALL_BLOCKS)
+def test_enumeration_and_sweep_match_the_oracle_inside_and_on_block_edges(size: int) -> None:
+    rows = list(enumerate(_per_candidate(), start=1))
+    edges = _block_edge_limits(size)
+    inside = [size // 2, size + 3, 2 * size + size // 2, 3 * size - 1]
+    limits = sorted({*edges, *inside, 1000})
+    with mock.patch.object(stormer, "_BLOCK", size):
+        for limit in limits:
+            assert enumerate_stormer(limit, Convention.STRICT) == [x for x, (_, s, _) in rows[:limit] if s]
+            assert enumerate_stormer(limit, Convention.INCLUSIVE) == [x for x, (_, _, i) in rows[:limit] if i]
+        for measure, meets in (
+            ("strict", lambda x, row: row[1]),
+            ("inclusive", lambda x, row: row[2]),
+            ("large-factor", lambda x, row: row[0] > x),
+        ):
+            counts = [report.count for report in density_sweep(limits, measure)]
+            assert counts == [sum(meets(x, row) for x, row in rows[:limit]) for limit in limits], measure
+
+
+def test_sweep_counts_a_repeated_limit_once() -> None:
+    with mock.patch.object(stormer, "_BLOCK", 7):
+        counts = [r.count for r in density_sweep([7, 7, 14, 14, 15], "inclusive")]
+    assert counts == [len(enumerate_stormer(n)) for n in (7, 7, 14, 14, 15)]
 
 
 def test_sieve_rejects_limits_past_64_bits() -> None:
