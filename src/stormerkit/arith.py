@@ -357,13 +357,16 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, 
 def sqrt_minus_one_mod_p(p: int) -> int:
     """A solution x of x**2 == -1 (mod p), 1 <= x <= p-1.
 
-    Requires p prime with p == 1 (mod 4); otherwise no solution exists and a
-    ValueError is raised.  The root is found by raising a quadratic
-    non-residue to the power (p-1)/4, which is the Tonelli-Shanks computation
-    specialized to -1.
+    Requires p prime with p == 1 (mod 4) and raises ValueError otherwise:
+    for any other odd p no solution exists, and p = 2, whose root is 1, has
+    no S(p) and no two-squares palindrome.  The root is found by raising a
+    quadratic non-residue to the power (p-1)/4, which is the Tonelli-Shanks
+    computation specialized to -1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p == 2:
+        raise ValueError("2 is prime but not == 1 (mod 4): a prime p == 1 (mod 4) is required")
     if p % 4 != 1:
         raise ValueError(f"{p} % 4 != 1, so x^2 == -1 (mod {p}) has no solution")
     return _sqrt_minus_one(p)

@@ -8,11 +8,16 @@ mod 4 is required): it is shown as one ``error:`` line on stderr, with
 nothing on stdout.  Long-running commands report progress on stderr only,
 keeping stdout machine-clean, and only after the library check that owns
 each input has accepted it, so a refused input leaves only its ``error:``
-line.  Bulk enumeration runs in one process, as one sieve of x^2 + 1 by the
+line; ``pi --max-terms``, whose value is checked only once summed, reports
+none.  Bulk enumeration runs in one process, as one sieve of x^2 + 1 by the
 roots +-S(p) that takes a block of x at a time.  ``stormer list`` streams:
 its values are rendered a few thousand at a time as the sieve finds them,
 so neither the values nor their strings are all held at once, and the
 bytes are the same as those of the whole list rendered in one piece.
+
+Loading this module imports only click and the standard library.  Each
+command body imports the library modules it runs, so ``density`` never loads
+``gregory`` or ``pidigits``, and ``--help`` and ``--version`` load none.
 
 Each command body calls the library and returns its JSON payload and a text
 renderer, plus a csv renderer where the command has one; :func:`_formatted`
@@ -32,12 +37,6 @@ from typing import Callable, Iterable, Iterator
 import click
 
 from . import __version__
-from . import density as density_mod
-from . import gregory as gregory_mod
-from . import pidigits, stormer, twosquares
-from .arith import GaussianInt
-from .gregory import GregoryCombo, IdentityParseError
-from .stormer import Convention
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True
@@ -45,7 +44,7 @@ _FORMAT = click.option(
 _OUT = click.option("--out", type=click.Path(writable=True), default=None, help="Write output to a file.")
 _CONVENTION = click.option(
     "--convention",
-    type=click.Choice([c.value for c in Convention]),
+    type=click.Choice(["strict", "inclusive"]),
     default=None,
     help="Stormer-number convention (default: strict for checks, inclusive for lists).",
 )
@@ -131,7 +130,9 @@ def stormer_group() -> None:
 @_formatted
 def stormer_check(n: int, convention: str | None) -> tuple:
     """Decide whether N is a Stormer number."""
-    conv = Convention(convention) if convention else Convention.STRICT
+    from . import stormer
+
+    conv = stormer.Convention(convention or "strict")
     verdict = stormer.is_stormer(n, conv)
     payload = {
         "x0": verdict.x0,
@@ -162,7 +163,9 @@ def stormer_check(n: int, convention: str | None) -> tuple:
 @_formatted
 def stormer_list(limit: int, convention: str | None) -> tuple:
     """List all Stormer numbers up to --limit."""
-    conv = Convention(convention) if convention else Convention.INCLUSIVE
+    from . import stormer
+
+    conv = stormer.Convention(convention or "inclusive")
     stormer._check_table_limit(limit)
     if limit >= 10**5:
         click.echo(f"enumerating Stormer numbers up to {limit}...", err=True)
@@ -182,6 +185,8 @@ def stormer_list(limit: int, convention: str | None) -> tuple:
 @_formatted
 def stormer_of_prime(p: int) -> tuple:
     """Print S(P) for a prime P congruent to 1 mod 4."""
+    from . import stormer
+
     pair = stormer.stormer_of_prime(p)
     return {"p": pair.p, "x0": pair.x0}, lambda: f"S({pair.p}) = {pair.x0}"
 
@@ -193,6 +198,8 @@ def stormer_of_prime(p: int) -> tuple:
 @_formatted
 def twosquares_cmd(p: int) -> tuple:
     """Decompose a prime P == 1 (mod 4) as a sum of two squares."""
+    from . import twosquares
+
     result = twosquares.two_squares(p)
     payload = {"p": result.p, "a": result.a, "b": result.b, "palindrome": list(result.palindrome), "x0": result.x0}
 
@@ -217,6 +224,8 @@ def twosquares_cmd(p: int) -> tuple:
 @_formatted
 def density_cmd(limits: str, measure: str) -> tuple:
     """Count toward the conjectured natural density ln 2."""
+    from . import density, stormer
+
     try:
         parsed = [int(part) for part in limits.split(",") if part.strip()]
     except ValueError:
@@ -226,7 +235,7 @@ def density_cmd(limits: str, measure: str) -> tuple:
     stormer._check_table_limit(parsed[-1])
     if parsed[-1] >= 10**5:
         click.echo(f"counting up to {parsed[-1]}...", err=True)
-    rows = density_mod.density_sweep(parsed, measure)
+    rows = density.density_sweep(parsed, measure)
     payload = {
         "measure": measure,
         "rows": [{"limit": r.limit, "count": r.count, "ratio": r.ratio, "ln2_gap": r.ln2_gap} for r in rows],
@@ -252,7 +261,9 @@ def gregory_group() -> None:
 @_formatted
 def gregory_decompose(n: int) -> tuple:
     """Express tN = arctan(1/N) over the Stormer basis."""
-    combo = gregory_mod.decompose(n)
+    from . import gregory
+
+    combo = gregory.decompose(n)
     return {**combo.to_json(), "n": n}, lambda: f"t{n} = {combo}"
 
 
@@ -261,18 +272,21 @@ def gregory_decompose(n: int) -> tuple:
 @_formatted
 def gregory_verify(identity: str) -> tuple:
     """Verify an identity such as "t1 = 4*t5 - t239"."""
+    from . import gregory
+    from .arith import GaussianInt
+
     try:
-        lhs, rhs = gregory_mod.parse_identity(identity)
-    except IdentityParseError as exc:
+        lhs, rhs = gregory.parse_identity(identity)
+    except gregory.IdentityParseError as exc:
         raise click.UsageError(str(exc))
-    valid, certificate = gregory_mod._verdict(lhs, rhs)
+    valid, certificate = gregory._verdict(lhs, rhs)
     try:
         shown = str(certificate)
         printed = {"re": certificate.re, "im": certificate.im}
     except ValueError:
         # str() refuses ints longer than the interpreter's limit, and so does
         # json: print the certificate as the product of its term powers instead.
-        powers = gregory_mod._powers(lhs - rhs)
+        powers = gregory._powers(lhs - rhs)
         shown = " * ".join(f"({GaussianInt(a, b)})^{e}" for a, b, e in powers)
         printed = {"powers": powers}
     payload = {"identity": identity, "valid": valid, "certificate": printed}
@@ -290,22 +304,24 @@ def gregory_verify(identity: str) -> tuple:
 @_formatted
 def pi_cmd(formula: str, digits: int, max_terms: int | None) -> tuple:
     """Compute pi digits from a verified Machin-like formula."""
+    from . import gregory, pidigits
+
     name = formula.strip().lower()
     if name in pidigits.FORMULAS:
         combo = pidigits.FORMULAS[name]
     else:
         try:
-            lhs, rhs = gregory_mod.parse_identity(formula)
-        except IdentityParseError as exc:
+            lhs, rhs = gregory.parse_identity(formula)
+        except gregory.IdentityParseError as exc:
             raise click.UsageError(str(exc))
-        if lhs != GregoryCombo.of_integers({1: 1}):
+        if lhs != gregory.GregoryCombo.of_integers({1: 1}):
             raise ValueError(f"formula must have t1 alone on the left: {formula!r}")
-        k = gregory_mod._formula_multiple(rhs)
+        k = gregory._formula_multiple(rhs)
         if k != 1:
             raise ValueError(f"identity {formula!r} does not hold: its right side equals {k}*t1")
         combo = rhs
     pidigits._checked_multiple(combo, digits, max_terms)
-    if digits >= 2000:
+    if digits >= 2000 and max_terms is None:
         click.echo(f"computing {digits} digits...", err=True)
     result = pidigits.compute_pi(combo, digits, max_terms)
     payload = {"digits": result.digits, "formula": result.formula.to_json(), "terms_used": list(result.terms_used)}

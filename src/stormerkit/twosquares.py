@@ -71,10 +71,10 @@ def _is_palindrome(qs: Sequence[int]) -> bool:
 def two_squares(p: int) -> TwoSquares:
     """The unique decomposition p = a**2 + b**2 of a prime p == 1 (mod 4).
 
-    Raises ValueError for composite p and for p == 3 (mod 4), where no
-    representation exists.
+    Raises ValueError for composite p, for p == 3 (mod 4), where no
+    representation exists, and for 2 = 1**2 + 1**2, which has no S(p).
     """
-    if p % 4 != 1 and arith.is_prime(p):
+    if p % 4 == 3 and arith.is_prime(p):
         raise ValueError(f"{p} is not a sum of two squares: only primes p == 1 (mod 4) are")
     x0 = stormer.stormer_of_prime(p).x0  # validates primality
     qs = euclid_quotients(p, x0)

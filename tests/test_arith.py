@@ -586,7 +586,8 @@ def test_sqrt_minus_one_rejects_bad_inputs() -> None:
         sqrt_minus_one_mod_p(7)  # 3 mod 4
     with pytest.raises(ValueError):
         sqrt_minus_one_mod_p(21)  # composite
-    with pytest.raises(ValueError):
+    # x = 1 solves x^2 == -1 (mod 2): the refusal names the requirement instead.
+    with pytest.raises(ValueError, match=r"^2 is prime but not == 1 \(mod 4\): a prime p == 1 \(mod 4\) is required$"):
         sqrt_minus_one_mod_p(2)
 
 

@@ -254,3 +254,13 @@ def test_out_option_writes_file(tmp_path) -> None:
     result = CliRunner().invoke(cli, ["pi", "--digits", "15", "--out", str(target)])
     assert result.exit_code == 0
     assert target.read_text().strip().startswith("3.14159265358979")
+
+
+def test_convention_choices_are_the_convention_values() -> None:
+    # cli.py spells the choices out so that loading it imports no library module.
+    from stormerkit.stormer import Convention
+
+    stormer_group = cli.commands["stormer"]
+    for command in ("check", "list"):
+        (option,) = [p for p in stormer_group.commands[command].params if p.name == "convention"]
+        assert list(option.type.choices) == [c.value for c in Convention]

@@ -188,6 +188,8 @@ _REFUSED_BEFORE_PROGRESS = [
     ["pi", "--formula", "t1 = t1/2 - t3", "--digits", "2000"],
     ["stormer", "list", "--limit", str(2**32)],
     ["density", "--limits", str(2**32)],
+    # Refused only after its capped series are summed, so it announces nothing.
+    ["pi", "--formula", "t1 = t1", "--digits", "2000", "--max-terms", "2"],
 ]
 
 

@@ -1,0 +1,125 @@
+"""The package namespace is lazy: importing ``stormerkit`` or its CLI loads
+no library module, each command loads only the modules it runs, and every
+public name still resolves to the object its owning module defines."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_LIBRARY = ("arith", "stormer", "twosquares", "density", "gregory", "pidigits")
+
+# The public names, in order, as every release so far has listed them.
+_ALL = [
+    "ArcTerm", "Convention", "DensityReport", "FORMULAS", "FixedPoint", "FlattenResult", "GaussianInt",
+    "GregoryCombo", "LehmerExpansion", "PiResult", "PrimeFactorization", "StormerPair", "StormerVerdict",
+    "TwoSquares", "check_factor_residues", "classical_bounds_check", "compare_digits", "compute_pi", "continuant",
+    "count_large_factor", "count_stormer", "decompose", "density_sweep", "enumerate_stormer", "euclid_quotients",
+    "extended_gcd", "factorize", "flatten", "gaussian_factorize", "gregory_series", "heuristic_probability",
+    "is_irreducible", "is_prime", "is_stormer", "largest_prime_factor", "lehmer_expand", "mertens_gap",
+    "occurs_among_earlier", "parse_identity", "prime_stormer_table", "stormer_of_prime", "two_squares",
+    "verify_identity",
+]
+
+
+def _fresh(code: str) -> object:
+    """Run ``code`` in a fresh interpreter and return the JSON it prints last."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('stormerkit.'))))"
+
+
+@pytest.mark.parametrize("module", ["stormerkit", "stormerkit.cli"])
+def test_import_loads_no_library_module(module: str) -> None:
+    loaded = _fresh(f"import json, sys\nimport {module}\n{_LOADED}")
+    assert loaded == (["stormerkit.cli"] if module == "stormerkit.cli" else [])
+
+
+# Each command and the library modules it runs, with gregory's own import of
+# stormer and twosquares' of stormer.
+_COMMAND_MODULES = [
+    (["density", "--limits", "100,1000"], {"arith", "stormer", "density"}),
+    (["stormer", "list", "--limit", "1000", "--format", "csv"], {"arith", "stormer"}),
+    (["stormer", "check", "239"], {"arith", "stormer"}),
+    (["stormer", "of-prime", "13"], {"arith", "stormer"}),
+    (["twosquares", "13"], {"arith", "stormer", "twosquares"}),
+    (["gregory", "decompose", "239"], {"arith", "stormer", "gregory"}),
+    (["gregory", "verify", "t1 = 4*t5 - t239"], {"arith", "stormer", "gregory"}),
+    (["pi", "--digits", "30"], {"arith", "stormer", "gregory", "pidigits"}),
+    (["--version"], set()),
+]
+
+
+@pytest.mark.parametrize("args, modules", _COMMAND_MODULES, ids=[" ".join(args) for args, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(args: list[str], modules: set[str]) -> None:
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from stormerkit.cli import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    try:\n        cli.main({args!r}, prog_name='stormerkit', standalone_mode=False)\n"
+        "    except SystemExit as exc:\n        assert not exc.code\n"
+        f"{_LOADED}"
+    )
+    assert _fresh(code) == sorted(["stormerkit.cli", *(f"stormerkit.{m}" for m in modules)])
+
+
+def test_all_is_unchanged_and_every_name_is_its_owners_object() -> None:
+    # A fresh interpreter, so each lookup goes through the lazy hook before
+    # anything has imported the owning module.
+    code = (
+        "import importlib, json, stormerkit\n"
+        "names = list(stormerkit.__all__)\n"
+        "found = {n: id(getattr(stormerkit, n)) for n in names}\n"
+        f"mods = {{m: importlib.import_module('stormerkit.' + m) for m in {_LIBRARY!r}}}\n"
+        "owners = {n: [m for m, mod in mods.items() if n in mod.__all__] for n in names}\n"
+        "same = {n: len(o) == 1 and id(getattr(mods[o[0]], n)) == found[n] for n, o in owners.items()}\n"
+        "print(json.dumps([names, same]))"
+    )
+    names, same = _fresh(code)
+    assert names == _ALL
+    assert [name for name, ok in same.items() if not ok] == []
+
+
+def test_star_import_binds_every_public_name() -> None:
+    code = (
+        "import json\nns = {}\nexec('from stormerkit import *', ns)\n"
+        "print(json.dumps(sorted(set(ns) - {'__builtins__'})))"
+    )
+    assert _fresh(code) == sorted(_ALL)
+
+
+def test_submodules_resolve_as_attributes_and_by_from_import() -> None:
+    code = (
+        "import json, stormerkit\n"
+        "from stormerkit import density\n"
+        "print(json.dumps([stormerkit.gregory.__name__, density.__name__, stormerkit.density is density]))"
+    )
+    assert _fresh(code) == ["stormerkit.gregory", "stormerkit.density", True]
+
+
+def test_dir_lists_every_public_name_and_submodule() -> None:
+    import stormerkit
+
+    listed = set(dir(stormerkit))
+    assert {"__all__", "__version__", *_ALL, *_LIBRARY} <= listed
+
+
+def test_unknown_attribute_raises_attribute_error() -> None:
+    import stormerkit
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        stormerkit.no_such_name  # noqa: B018
+    assert not hasattr(stormerkit, "_no_such_private")
+    with pytest.raises(ImportError):
+        from stormerkit import no_such_name  # noqa: F401

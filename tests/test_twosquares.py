@@ -106,7 +106,8 @@ def test_two_squares_examples() -> None:
 def test_two_squares_rejects_bad_inputs() -> None:
     with pytest.raises(ValueError):
         two_squares(7)  # no representation for p == 3 (mod 4)
-    with pytest.raises(ValueError):
+    # 2 = 1^2 + 1^2, so the refusal names the requirement, not a missing sum.
+    with pytest.raises(ValueError, match=r"^2 is prime but not == 1 \(mod 4\): a prime p == 1 \(mod 4\) is required$"):
         two_squares(2)
     with pytest.raises(ValueError):
         two_squares(65)  # composite
