@@ -5,8 +5,9 @@ here: the one prime sieve (segmented Eratosthenes), deterministic primality
 testing, integer factorization (one gcd with the product of the primes
 below 1000, then Brent's variant of Pollard rho), the extended Euclidean
 algorithm, recursive division of big ints, square roots of -1 modulo a
-prime, and exact arithmetic in Z[i] including factorization into Gaussian
-primes.
+prime, the Gaussian prime over p read from such a root by Euclid stopped
+below sqrt(p) (Brillhart 1972), and exact arithmetic in Z[i] including
+factorization into Gaussian primes.
 
 Plain Python ints serve as the arbitrary-precision integer type and
 ``fractions.Fraction`` as the rational type; both are exact.
@@ -15,6 +16,7 @@ Plain Python ints serve as the arbitrary-precision integer type and
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -530,49 +532,56 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
     to the first quadrant (re > 0, im >= 0): primes over a rational prime
     p == 1 (mod 4) appear as the pair {a+bi, b+ai}, the ramified prime over
     2 as 1+i, and inert rational primes q == 3 (mod 4) as q itself.
+
+    z = g * (x + yi) with g = gcd(re, im).  Each p**e exactly dividing g
+    brings both Gaussian primes over p (p == 1 (mod 4)), (1+i)**(2e)
+    (p = 2) or p**e (p == 3 (mod 4)).  Each odd p**e exactly dividing
+    x**2 + y**2 brings the one prime over p that divides x + yi, which is
+    the one dividing r + i for r = x/y mod p (:func:`_prime_over`).
     """
     if z.is_zero():
         raise ValueError("cannot factor 0")
-    n = z.norm()
-    return _gaussian_split(z, _factorize_norm(n) if math.gcd(z.re, z.im) == 1 else factorize(n))
-
-
-def _gaussian_split(
-    z: GaussianInt, norm: PrimeFactorization
-) -> tuple[GaussianInt, tuple[tuple[GaussianInt, int], ...]]:
-    """:func:`gaussian_factorize` of z != 0, given ``norm``, the prime
-    factorization of z.norm().
-
-    Over each prime p == 1 (mod 4) lie the two first-quadrant Gaussian
-    primes gcd(p, x + i), for x a square root of -1 mod p, and its swap
-    b + ai.  Both are divided out as often as they go, which covers a p
-    that divides the content gcd(re, im) as well as one that does not.
-    """
-    residual = z
-    found: list[tuple[GaussianInt, int]] = []
-    for p, e in norm.factors:
+    g = math.gcd(z.re, z.im)
+    x, y = z.re // g, z.im // g
+    found: Counter[tuple[int, int]] = Counter()
+    for p, e in factorize(g).factors:
         if p == 2:
-            pi = GaussianInt(1, 1)
-            for _ in range(e):
-                residual = residual.exact_div(pi)
-            found.append((pi, e))
+            found[1, 1] += 2 * e
         elif p % 4 == 3:
-            # Inert: p itself is a Gaussian prime, contributing e/2 copies.
-            k = e // 2
-            for _ in range(k):
-                residual = residual.exact_div(GaussianInt(p, 0))
-            found.append((GaussianInt(p, 0), k))
+            found[p, 0] += e
         else:
-            x = sqrt_minus_one_mod_p(p)
-            _, pi = gaussian_gcd(GaussianInt(p, 0), GaussianInt(x, 1)).canonical_associate()
-            for prime in (pi, GaussianInt(pi.im, pi.re)):
-                count = 0
-                while prime.divides(residual):
-                    residual = residual.exact_div(prime)
-                    count += 1
-                if count:
-                    found.append((prime, count))
-    if not residual.is_unit():
-        raise ArithmeticError(f"factorization of {z} left non-unit residual {residual}")
-    found.sort(key=lambda fe: (fe[0].norm(), fe[0].im))
-    return residual, tuple(found)
+            a, b = _prime_over(p, _sqrt_minus_one(p))
+            found[a, b] += e
+            found[b, a] += e
+    for p, e in _factorize_norm(x * x + y * y).factors:
+        found[(1, 1) if p == 2 else _prime_over(p, x * pow(y, -1, p))] += e
+    factors = sorted(((GaussianInt(a, b), e) for (a, b), e in found.items()), key=lambda fe: (fe[0].norm(), fe[0].im))
+    product = reduce(lambda acc, fe: acc * fe[0] ** fe[1], factors, GaussianInt(1, 0))
+    if not product.divides(z) or not (unit := z.exact_div(product)).is_unit():
+        raise ArithmeticError(f"the Gaussian primes found for {z} leave a non-unit residual")
+    return unit, tuple(factors)
+
+
+def _prime_over(p: int, r: int) -> tuple[int, int]:
+    """(a, b) with a + bi the first-quadrant Gaussian prime over a prime
+    p == 1 (mod 4) that divides r + i, for r a root of x**2 == -1 (mod p).
+
+    With S = S(p), the root below p/2, Euclid on (p, S) stopped at the
+    first remainder below sqrt(p) gives p = a**2 + b**2: a is that
+    remainder and b the next (Brillhart, "Note on representing a prime as
+    a sum of two squares", Math. Comp. 26, 1972).  These are the
+    continuants that :func:`stormerkit.twosquares.two_squares` reads from
+    the palindrome of p/S.  The pair is oriented so that a + bi divides
+    S + i, that is S*b == a (mod p); for 2r > p, r == -S and the prime
+    dividing r + i is the conjugate, whose first-quadrant associate is
+    b + ai.
+    """
+    r %= p
+    s = min(r, p - r)
+    u, v = p, s
+    while v * v > p:
+        u, v = v, u % v
+    a, b = v, u % v
+    if s * b % p != a:
+        a, b = b, a
+    return (b, a) if 2 * r > p else (a, b)

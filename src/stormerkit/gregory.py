@@ -441,8 +441,8 @@ def _factor_args(x: int, norm: arith.PrimeFactorization) -> tuple[dict[int, int]
 
 def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
     """(a, b, A(p)) for a prime p == 1 (mod 4) with S(p) = s: pi_p = a + bi
-    is the first-quadrant Gaussian prime dividing s + i, and A(p) = Arg(pi_p)
-    over the Stormer basis.
+    is the first-quadrant Gaussian prime dividing s + i, read by
+    :func:`arith._prime_over`, and A(p) = Arg(pi_p) over the Stormer basis.
 
     s is a Stormer number, as p >= 2s + 1 is the largest prime of s**2 + 1.
     If s**2 + 1 = p, s + i is pi_p and A(p) = t_s.  Otherwise p divides
@@ -454,8 +454,7 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
     """
     entry = _prime_memo.get(p)
     if entry is None:
-        g = arith.gaussian_gcd(GaussianInt(p, 0), GaussianInt(s, 1))
-        _, a, b = arith._quarter(g.re, g.im)
+        a, b = arith._prime_over(p, s)
         arg = {s: 1}
         m = (s * s + 1) // p
         if m != 1:

@@ -51,8 +51,10 @@ FORMULAS: dict[str, GregoryCombo] = {
 }
 
 
-# Largest piece handed to str(), well below the interpreter's conversion guard.
-_CHUNK_DIGITS = 1000
+# Largest piece handed to str(): 640 digits is the smallest nonzero limit the
+# interpreter's int-to-str conversion guard accepts (PYTHONINTMAXSTRDIGITS,
+# sys.int_info.str_digits_check_threshold), so every setting passes it.
+_CHUNK_DIGITS = 640
 _CHUNK = 10**_CHUNK_DIGITS
 
 

@@ -6,13 +6,15 @@ sequence is a palindrome of even length [q1..qn, qn..q1], and
     p = K(q1..qn)**2 + K(q1..q_{n-1})**2
 
 where K is the continuant.  This yields the unique decomposition
-p = a**2 + b**2 explicitly.
+p = a**2 + b**2 explicitly.  The two continuants are the remainders at
+which Euclid on (p, S(p)) first drops below sqrt(p) (Brillhart 1972), so
+each result is checked against ``arith._prime_over``, the route the rest of
+the package takes to the Gaussian prime over p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from . import arith, stormer
@@ -83,6 +85,6 @@ def two_squares(p: int) -> TwoSquares:
     half = qs[: len(qs) // 2]
     a = continuant(half)
     b = continuant(half[:-1])
-    if a * a + b * b != p or gcd(a, b) != 1:
-        raise ArithmeticError(f"continuants {a}, {b} of {half} do not give {p} as a sum of coprime squares")
+    if sorted(arith._prime_over(p, x0)) != [b, a]:
+        raise ArithmeticError(f"continuants {a}, {b} of {half} are not the Gaussian prime over {p}")
     return TwoSquares(p, a, b, tuple(qs), x0)

@@ -573,6 +573,39 @@ def test_gaussian_factorize_matches_sqrt_reference(a: int, b: int, content: int)
     assert gaussian_factorize(z) == _sqrt_split_reference(z)
 
 
+def _prime_over_by_gcd(p: int, r: int) -> tuple[int, int]:
+    """The first-quadrant associate of gcd(p, r + i) in Z[i]."""
+    _, pi = arith.gaussian_gcd(GaussianInt(p, 0), GaussianInt(r, 1)).canonical_associate()
+    return pi.re, pi.im
+
+
+def _check_prime_over(p: int) -> None:
+    roots = sympy.sqrt_mod(-1, p, all_roots=True)
+    assert len(roots) == 2
+    got = {r: arith._prime_over(p, r) for r in roots}
+    for r, (a, b) in got.items():
+        assert a * a + b * b == p and a > 0 and b > 0, (p, r)
+        assert (a, b) == _prime_over_by_gcd(p, r), (p, r)
+        # Unreduced roots name the same prime.
+        assert arith._prime_over(p, r - p) == arith._prime_over(p, r + 3 * p) == (a, b)
+
+
+def test_prime_over_matches_gaussian_gcd_below_2e4() -> None:
+    primes = [p for p in sieve_primes(2 * 10**4) if p % 4 == 1]
+    assert len(primes) == 1125
+    for p in primes:
+        _check_prime_over(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(40, 128), st.integers(0, 2**128))
+def test_prime_over_matches_gaussian_gcd_on_large_primes(bits: int, seed: int) -> None:
+    p = sympy.nextprime(2 ** (bits - 1) + seed % 2 ** (bits - 1))
+    while p % 4 != 1:
+        p = sympy.nextprime(p)
+    _check_prime_over(p)
+
+
 # --- square roots of -1 ------------------------------------------------------------
 
 def test_sqrt_minus_one_examples() -> None:

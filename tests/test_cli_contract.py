@@ -181,6 +181,23 @@ def test_module_entry_point(arg: str, code: int, stdout: str) -> None:
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
+def test_pi_digits_under_the_smallest_int_str_limit() -> None:
+    # 640 is the smallest nonzero PYTHONINTMAXSTRDIGITS the interpreter
+    # accepts; the digits must not depend on it.
+    runs = []
+    for limit in (None, "640"):
+        env = {**os.environ, "PYTHONPATH": str(_SRC)}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        runs.append(subprocess.run([sys.executable, "-m", "stormerkit.cli", "pi", "--digits", "2000"],
+                                   capture_output=True, text=True, env=env, timeout=60))
+    default, limited = runs
+    assert default.returncode == 0 and len(default.stdout) > 2000
+    assert limited.returncode == 0, limited.stderr
+    assert limited.stdout == default.stdout
+
+
 # Inputs the library refuses, large enough that the command would announce
 # its work on stderr: the refusal must come first and alone.
 _REFUSED_BEFORE_PROGRESS = [

@@ -353,7 +353,7 @@ def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch) -> No
         raise AssertionError(f"unexpected call with {args}")
 
     monkeypatch.setattr(arith, "_factorize_norm", counted)
-    for name in ("gaussian_factorize", "_gaussian_split", "factorize", "sqrt_minus_one_mod_p"):
+    for name in ("gaussian_factorize", "gaussian_gcd", "factorize", "sqrt_minus_one_mod_p"):
         monkeypatch.setattr(arith, name, forbidden)
     monkeypatch.setattr(gregory, "_flatten_step", forbidden)
     for n in range(1, 1001):

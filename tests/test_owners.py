@@ -1,7 +1,8 @@
 """Each exact decision has one owner: the reading of quarter turns as a
 multiple of t_1 lives in ``gregory``, the check that p is a prime
-== 1 (mod 4) lives in ``arith``, and so does the one division of big
-values that pi's digits pass through, ``arith._divmod``.  ``decompose``
+== 1 (mod 4) lives in ``arith``, and so do the one route from a root of -1
+to the Gaussian prime over p, ``arith._prime_over``, and the one division of
+big values that pi's digits pass through, ``arith._divmod``.  ``decompose``
 returns its canonical memo entry without re-checking it, and A(p) is built
 from the factors of (S(p)**2 + 1)/p.  The x**2 + 1 sieve holds one block of
 x at a time, and the CLI writes its output in one function."""
@@ -54,10 +55,22 @@ def test_stormer_of_prime_leaves_its_checks_to_arith() -> None:
     assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) for node in ast.walk(func))
 
 
-def test_gaussian_split_has_one_route() -> None:
-    func = _function(Path(stormerkit.__file__).parent / "arith.py", "_gaussian_split")
-    assert "content" not in _names(func)
-    assert "gcd" not in _names(func)
+def _functions_naming(name: str) -> set[str]:
+    """The functions under src/ whose bodies name ``name``, other than its
+    own definition."""
+    return {
+        node.name
+        for path in _SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name != name and name in _names(node)
+    }
+
+
+def test_gaussian_prime_over_p_has_one_route() -> None:
+    # arith._prime_over alone finds the Gaussian prime over p; gaussian_gcd
+    # stays public, but nothing in the package calls it.
+    assert _functions_naming("gaussian_gcd") == set()
+    assert _functions_naming("_prime_over") == {"gaussian_factorize", "_prime_entry", "two_squares"}
 
 
 def test_pi_divides_only_through_arith_divmod() -> None:
