@@ -279,14 +279,21 @@ def gregory_verify(identity: str) -> tuple:
         lhs, rhs = gregory.parse_identity(identity)
     except gregory.IdentityParseError as exc:
         raise click.UsageError(str(exc))
-    valid, certificate = gregory._verdict(lhs, rhs)
+    valid = gregory.verify_identity(lhs, rhs)
+    powers = gregory._powers(lhs - rhs)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        # A product of norm 2**bits has max(|re|, |im|) >= 2**((bits - 1)/2),
+        # which is >= 10**limit once bits > 7*limit: str() would refuse it,
+        # so it is not built.
+        if limit and sum(e * ((a * a + b * b).bit_length() - 1) for a, b, e in powers) > 7 * limit:
+            raise ValueError
+        certificate = gregory.identity_certificate(lhs, rhs)
         shown = str(certificate)
         printed = {"re": certificate.re, "im": certificate.im}
     except ValueError:
         # str() refuses ints longer than the interpreter's limit, and so does
         # json: print the certificate as the product of its term powers instead.
-        powers = gregory._powers(lhs - rhs)
         shown = " * ".join(f"({GaussianInt(a, b)})^{e}" for a, b, e in powers)
         printed = {"powers": powers}
     payload = {"identity": identity, "valid": valid, "certificate": printed}

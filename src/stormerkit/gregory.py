@@ -13,14 +13,17 @@ basis, and A(p) itself reduces the same way through the factors of
 result unique).  The prime over 2 is 1 + i, of argument t_1, and units
 contribute quarter turns, 2*t_1 each.
 
-Every angle sum is read in exact quarter turns (Stormer 1899; Lehmer, "On
-arccotangent relations for pi", 1938): sum(e * Arg(a + bi)) = q * pi/2 +
-Arg(r + si) with r > 0 and s >= 0, found by multiplying out the Gaussian
-product and turning it back into the first quadrant after every step.  A
-combination equals k * t_1 when s = 0 (k = 2q) or r = s (k = 2q + 1), so an
-identity holds exactly when q = 0 and s = 0; :func:`_t1_multiple` alone
-reads these, and no float decides them.  The flattening of a + bi to e +- i
-through a*d + b*c = +-1 is kept as :func:`flatten`.
+Every angle sum is read exactly as a vector over that basis, t_1 included
+(:func:`_vector`): each term a + bi factors the same way, r = a/b mod q
+picking the Gaussian prime over each odd q | a**2 + b**2, and the quarter
+turns of the product (:func:`_turns`) give its t_1 correction.  As the A(p)
+and pi are linearly independent over Q, an identity holds exactly when its
+two sides have the same vector, and a hidden 2*pi*m shows as 8*m on t_1;
+:func:`_combo_vector` alone reads these, no float decides them, and their
+cost does not grow with the coefficients.  The Gaussian product itself is
+multiplied out only as a certificate to print (:func:`identity_certificate`).
+The flattening of a + bi to e +- i through a*d + b*c = +-1 is kept as
+:func:`flatten`.
 """
 
 from __future__ import annotations
@@ -254,49 +257,36 @@ def _powers(terms: Iterable[tuple[ArcTerm, int]]) -> list[tuple[int, int, int]]:
     return [(t.re, t.im if c > 0 else -t.im, abs(c)) for t, c in terms]
 
 
-def _combo_turns(terms: Mapping[ArcTerm, int]) -> tuple[int, int, int]:
-    """:func:`_turns` of sum(c * arg(t)) over ``terms``."""
-    return _turns(_powers(terms.items()))
-
-
-def _t1_multiple(q: int, r: int, s: int) -> int | None:
-    """The integer k with q*pi/2 + Arg(r + si) = k * t_1 = k*pi/4, for
-    r > 0 and s >= 0 as :func:`_turns` returns them, or None if there is
-    none.  As 0 <= Arg(r + si) < pi/2, k exists exactly when that argument
-    is 0 (s = 0, k = 2q) or pi/4 (r = s, k = 2q + 1).  This is the one
-    place where an angle sum becomes a verdict: k = 0 means it is zero."""
-    return 2 * q if s == 0 else 2 * q + 1 if r == s else None
-
-
-def _verdict(lhs: GregoryCombo, rhs: GregoryCombo) -> tuple[bool, GaussianInt]:
-    """(whether lhs = rhs holds, its :func:`identity_certificate`), from one
-    Gaussian product over the difference of the two sides."""
-    diff = dict(lhs._terms)
-    for term, coef in rhs._terms.items():
-        diff[term] = diff.get(term, 0) - coef
-    q, re, im = _combo_turns(diff)
-    valid = _t1_multiple(q, re, im) == 0
-    for _ in range(q % 4):
-        re, im = -im, re
-    return valid, GaussianInt(re, im)
+def _combo_vector(combo: GregoryCombo) -> dict[int, int]:
+    """sum(c * arg(t)) over ``combo`` as a vector over the Stormer basis,
+    {s: coefficient} with s = 1 for t_1 and zeros dropped: the sum of each
+    term's :func:`_vector`.  The basis is linearly independent over Q, so
+    the sum is zero exactly when the vector is empty, and k*t_1 exactly
+    when it is {1: k}.  This is the one place an angle sum becomes a
+    verdict; its cost is that of factoring each term's norm, whatever the
+    coefficients."""
+    total: dict[int, int] = {}
+    with _memo_lock:
+        for t, c in combo._terms.items():
+            _add(total, _vector(t.re, t.im, arith._factorize_norm(t.re * t.re + t.im * t.im)), c)
+    return {s: c for s, c in total.items() if c}
 
 
 def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
     """Gaussian product over the difference combo, conjugating terms with
     negative coefficients.  The identity holds modulo 2*pi exactly when this
-    product is a positive real number."""
-    return _verdict(lhs, rhs)[1]
+    product is a positive real number.  Its size grows with the
+    coefficients; the verdict itself is :func:`verify_identity`'s."""
+    return math.prod((GaussianInt(a, b) ** e for a, b, e in _powers(lhs - rhs)), start=GaussianInt(1, 0))
 
 
 def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
-    """Exact check that sum(lhs) equals sum(rhs) as real numbers.
-
-    :func:`_turns` reads the difference as q quarter turns plus Arg(r + si)
-    with 0 <= Arg(r + si) < pi/2, so it is zero exactly when q = 0 and
-    s = 0.  A product that is a positive real (s = 0) with q = 4m != 0 is a
-    hidden multiple 2*pi*m, and is rejected.
+    """Exact check that sum(lhs) equals sum(rhs) as real numbers: the two
+    sides have the same vector over the Stormer basis (:func:`_combo_vector`).
+    A difference that is a positive real product but a multiple 2*pi*m,
+    m != 0, reads as {1: 8*m}, and is rejected.
     """
-    return _verdict(lhs, rhs)[0]
+    return not _combo_vector(lhs - rhs)
 
 
 def _formula_multiple(formula: GregoryCombo) -> int:
@@ -304,8 +294,9 @@ def _formula_multiple(formula: GregoryCombo) -> int:
     ValueError."""
     if not formula:
         raise ValueError("formula is empty")
-    k = _t1_multiple(*_combo_turns(formula._terms))
-    if k is not None and k >= 1:
+    vector = _combo_vector(formula)
+    k = vector.pop(1, 0)
+    if not vector and k >= 1:
         return k
     raise ValueError(f"formula does not equal a positive multiple of t1: {formula}")
 
@@ -412,17 +403,18 @@ def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
         dst[s] = dst.get(s, 0) + scale * c
 
 
-def _factor_args(x: int, norm: arith.PrimeFactorization) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
-    """The Gaussian primes of x + i over the factors of ``norm``, the prime
-    factorization of x**2 + 1, or of (x**2 + 1)/p for a prime p that
-    divides it once.
+def _factor_args(a: int, b: int, norm: arith.PrimeFactorization) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """The Gaussian primes of a + bi, a, b >= 1 coprime, over the factors of
+    ``norm``, the prime factorization of a**2 + b**2, or of (a**2 + b**2)/p
+    for a prime p that divides it once.
 
     Returns (combo, powers): ``combo`` is the sum of their arguments over the
     Stormer basis, and ``powers`` the triples (a, b, e) of their product for
     :func:`_turns`.  The prime over 2 is 1 + i, to the power e2.  An odd q**e
-    exactly dividing x**2 + 1 has x == +-S(q) (mod q), so r = x mod q gives
-    S(q) = min(r, q - r), and its prime is pi_q when 2r < q and the conjugate
-    of pi_q, of argument -A(q), when not.
+    exactly dividing a**2 + b**2 does not divide b, and a + bi = b*(r + i)
+    for r = a/b mod q, a root of x**2 == -1 (mod q): S(q) = min(r, q - r),
+    and the prime is pi_q when 2r < q and the conjugate of pi_q, of argument
+    -A(q), when not.
     """
     combo: dict[int, int] = {}
     powers = []
@@ -431,12 +423,27 @@ def _factor_args(x: int, norm: arith.PrimeFactorization) -> tuple[dict[int, int]
             combo[1] = combo.get(1, 0) + e
             powers.append((1, 1, e))
         else:
-            r = x % q
+            r = a * pow(b, -1, q) % q
             sign = 1 if 2 * r < q else -1
-            a, b, arg = _prime_entry(q, min(r, q - r))
+            x, y, arg = _prime_entry(q, min(r, q - r))
             _add(combo, arg, sign * e)
-            powers.append((a, sign * b, e))
+            powers.append((x, sign * y, e))
     return combo, powers
+
+
+def _vector(a: int, b: int, norm: arith.PrimeFactorization) -> dict[int, int]:
+    """Arg(a + bi) over the Stormer basis, {s: coefficient} with s = 1 for
+    t_1 and zeros dropped, for a, b >= 1 coprime and ``norm`` the prime
+    factorization of a**2 + b**2.
+
+    a + bi is, up to a unit, the product of its Gaussian primes
+    (:func:`_factor_args`): with q the quarter turns of that product, the
+    argument is theirs less 2*q*t_1.  It fills _prime_memo, so the caller
+    holds _memo_lock.
+    """
+    combo, powers = _factor_args(a, b, norm)
+    combo[1] = combo.get(1, 0) - 2 * _turns(powers)[0]
+    return {s: c for s, c in combo.items() if c}
 
 
 def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
@@ -458,7 +465,7 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
         arg = {s: 1}
         m = (s * s + 1) // p
         if m != 1:
-            others, powers = _factor_args(s, arith._factorize_norm(m))
+            others, powers = _factor_args(s, 1, arith._factorize_norm(m))
             powers.append((a, b, 1))
             _add(arg, others, -1)
             arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
@@ -472,8 +479,8 @@ def decompose(n: int) -> GregoryCombo:
     A Stormer number (inclusive convention) is its own basis element.  Any
     other n has n**2 + 1 = 2**e2 * prod(p**e), n + i is, up to a unit,
     (1 + i)**e2 times prod(pi_p**e) with pi_p or its conjugate picked by
-    n mod p (:func:`_factor_args`), and t_n = e2*t_1 + sum(+-e*A(p)) less
-    2*q*t_1 for the q quarter turns of that product.  Each A(p) is a
+    n mod p, and t_n = e2*t_1 + sum(+-e*A(p)) less 2*q*t_1 for the q
+    quarter turns of that product (:func:`_vector`).  Each A(p) is a
     combination of t_s with s Stormer and s <= (p - 1)/2 < n.  The result is
     verified exactly, in quarter turns, before it is returned.
     """
@@ -483,14 +490,11 @@ def decompose(n: int) -> GregoryCombo:
         combo = _t_memo.get(n)
         if combo is None:
             norm = arith._factorize_norm(n * n + 1)
-            if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
-                combo = {n: 1}
-            else:
-                combo, powers = _factor_args(n, norm)
-                combo[1] = combo.get(1, 0) - 2 * _turns(powers)[0]
-            combo = _t_memo[n] = {s: c for s, c in combo.items() if c}
+            big = norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE)
+            combo = _t_memo[n] = {n: 1} if big else _vector(n, 1, norm)
     powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in combo.items()]
-    if _t1_multiple(*_turns(powers)) != 0:
+    q, _, im = _turns(powers)
+    if q or im:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
     return GregoryCombo._canonical({_basis_term(s): c for s, c in combo.items()})
 

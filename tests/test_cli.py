@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -179,6 +181,60 @@ def test_gregory_verify_above_the_print_limit_prints_the_powers(
         }
     else:
         assert result.stdout == f"{verdict}   certificate: (1+i)^10000 * (5-i)^40000 * ({last}+i)^10000\n"
+
+
+@pytest.mark.parametrize("k", [10**6, 10**30])
+def test_gregory_verify_cost_does_not_grow_with_the_coefficients(k: int) -> None:
+    # The verdict compares Stormer-basis vectors, and a certificate past the
+    # print limit is never multiplied out.
+    identity = f"{k}*t1 = {4 * k}*t5 - {k}*t239"
+    start = time.perf_counter()
+    result = run("gregory", "verify", identity)
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    assert result.stdout == f"true   certificate: (1+i)^{k} * (5-i)^{4 * k} * (239+i)^{k}\n"
+
+
+def _verify_by_the_old_rule(identity: str, valid: bool, fmt: str) -> str:
+    """gregory verify's output when the certificate is always built, and its
+    powers printed only if str() refuses it."""
+    lhs, rhs = gregory.parse_identity(identity)
+    certificate = gregory.identity_certificate(lhs, rhs)
+    try:
+        shown = str(certificate)
+        printed = {"re": certificate.re, "im": certificate.im}
+    except ValueError:
+        powers = gregory._powers(lhs - rhs)
+        shown = " * ".join(f"({GaussianInt(a, b)})^{e}" for a, b, e in powers)
+        printed = {"powers": powers}
+    if fmt == "json":
+        return json.dumps({"identity": identity, "valid": valid, "certificate": printed}, sort_keys=True) + "\n"
+    return f"{str(valid).lower()}   certificate: {shown}\n"
+
+
+# For k*t1 = 4k*t5 - k*t239 (and t238) the certificate passes `limit` digits
+# near k = limit/5.36, and its norm passes 2**(7*limit), where the product is
+# no longer built, at k = 7*limit/32.
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit, ks", [
+    (4300, [1, 798, 799, 800, 801, 802, 803, 804, 805, 940, 941, 942, 2000]),
+    (640, [1, 117, 118, 119, 120, 121, 122, 139, 140, 141, 500]),
+])
+def test_gregory_verify_prints_as_the_old_rule_across_the_print_limit(limit: int, ks: list[int], fmt: str) -> None:
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        forms = set()
+        for k in ks:
+            for last, valid in ((239, True), (238, False)):
+                identity = f"{k}*t1 = {4 * k}*t5 - {k}*t{last}"
+                result = run("gregory", "verify", identity, "--format", fmt)
+                assert result.exit_code == 0
+                assert result.stdout == _verify_by_the_old_rule(identity, valid, fmt), (k, last)
+                forms.add("^" in result.stdout or "powers" in result.stdout)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert forms == {True, False}
 
 
 def test_pi_command() -> None:

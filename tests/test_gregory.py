@@ -13,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stormerkit import arith, gregory
+from stormerkit import arith, gregory, pidigits
 from stormerkit.arith import GaussianInt
 from stormerkit.gregory import (
     ArcTerm,
@@ -86,6 +86,8 @@ def test_verify_identity_classics() -> None:
     assert verify_identity(t1, combo({3: 2, 7: 1}))
     assert verify_identity(t1, combo({57: 44, 239: 7, 682: -12, 12943: 24}))
     assert verify_identity(t1, GregoryCombo({T(7): 5, ArcTerm(79, 3): 2}))
+    # Hwang (1997), six terms
+    assert verify_identity(t1, combo({239: 183, 1023: 32, 5832: -68, 110443: 12, 4841182: -12, 6826318: -100}))
 
 
 def test_verify_identity_rejects_perturbation() -> None:
@@ -108,7 +110,7 @@ def test_certificate_positive_real_for_true_identity() -> None:
 
 def test_angle_sums_spanning_multiple_turns() -> None:
     # 8 * t1 = 2*pi: the product certificate alone cannot distinguish this
-    # from zero, the quarter-turn count (4, not 0) must
+    # from zero, the vector over the Stormer basis ({1: 8}, not {}) must
     assert not verify_identity(combo({1: 8}), GregoryCombo())
     assert verify_identity(combo({1: 8}), combo({1: 8}))
 
@@ -125,7 +127,7 @@ def test_full_turn_offsets_are_rejected(k: int, j: int) -> None:
     cert = identity_certificate(lhs, offset)
     assert cert.im == 0 and cert.re > 0
     assert not verify_identity(lhs, offset)
-    assert gregory._combo_turns((offset - lhs).terms())[0] == 4 * j
+    assert gregory._combo_vector(offset - lhs) == {1: 8 * j}
 
 
 _BASE = st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda ab: ab != (0, 0))
@@ -167,11 +169,42 @@ def test_verify_identity_matches_mpmath(terms: list[tuple[ArcTerm, int]], k: int
     assert identity_certificate(lhs, rhs) == product
 
 
+_RATIONAL = st.builds(ArcTerm.of, st.integers(1, 300), st.integers(1, 300))
+_BIG = st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_RATIONAL, _BIG), max_size=3),
+    st.sampled_from(sorted(pidigits.FORMULAS)),
+    st.integers(0, 10**12),
+    st.integers(-3, 3),
+    _RATIONAL,
+    _BIG,
+)
+@example([], "machin", 10**12, 1, T(1), 0)
+@example([], "euler", 7, 0, ArcTerm(3, 2), -(10**12))
+@example([(ArcTerm(1, 2), 10**12), (T(3), -(10**12)), (T(1), -(10**12))], "stormer1896", 10**12 - 1, 0, T(2), 5)
+def test_verify_identity_matches_mpmath_at_large_coefficients(
+    extra: list[tuple[ArcTerm, int]], name: str, k: int, j: int, pair: ArcTerm, m: int
+) -> None:
+    # k * formula + m * (t_{a/b} + t_{b/a}) + extra = (k + 2m + 8j) * t1 holds
+    # exactly when extra sums to zero and j = 0: t_{a/b} + t_{b/a} = pi/2,
+    # and 8j * t1 is j full turns.  The verdict reads vectors only, so these
+    # coefficients cost no more than small ones; no certificate is built.
+    lhs = pidigits.FORMULAS[name] * k + GregoryCombo({pair: m}) + GregoryCombo({ArcTerm(pair.im, pair.re): m})
+    lhs = lhs + GregoryCombo(extra)
+    rhs = combo({1: k + 2 * m + 8 * j})
+    with mpmath.workdps(80):
+        gap = mpmath.fsum(c * mpmath.atan2(t.im, t.re) for t, c in (lhs - rhs).terms().items())
+        expected = abs(gap) < mpmath.mpf(10) ** -50
+    assert verify_identity(lhs, rhs) is expected
+
+
 def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch) -> None:
     # Verification, decomposition and the pi formula check read exact
-    # quarter turns only: every float that could decide them raises here.
-    from stormerkit import pidigits
-
+    # vectors and quarter turns only: every float that could decide them
+    # raises here.
     def float_used(*args, **kwargs):
         raise AssertionError("a float entered an exact check")
 

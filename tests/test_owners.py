@@ -1,11 +1,13 @@
-"""Each exact decision has one owner: the reading of quarter turns as a
-multiple of t_1 lives in ``gregory``, the check that p is a prime
-== 1 (mod 4) lives in ``arith``, and so do the one route from a root of -1
-to the Gaussian prime over p, ``arith._prime_over``, and the one division of
-big values that pi's digits pass through, ``arith._divmod``.  ``decompose``
-returns its canonical memo entry without re-checking it, and A(p) is built
-from the factors of (S(p)**2 + 1)/p.  The x**2 + 1 sieve holds one block of
-x at a time, and the CLI writes its output in one function."""
+"""Each exact decision has one owner: the reading of an angle sum as a
+vector over the Stormer basis lives in ``gregory``, which multiplies the
+Gaussian product out only for the certificate ``gregory verify`` prints; the
+check that p is a prime == 1 (mod 4) lives in ``arith``, and so do the one
+route from a root of -1 to the Gaussian prime over p, ``arith._prime_over``,
+and the one division of big values that pi's digits pass through,
+``arith._divmod``.  ``decompose`` returns its canonical memo entry without
+re-checking it, and A(p) is built from the factors of (S(p)**2 + 1)/p.  The
+x**2 + 1 sieve holds one block of x at a time, and the CLI writes its output
+in one function."""
 
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import stormerkit
 
 _SOURCES = sorted(Path(stormerkit.__file__).parent.glob("*.py"))
 
-# The quarter-turn reader and the one function that maps its output to k.
-_GREGORY_ONLY = {"_turns", "_combo_turns", "_t1_multiple"}
+# The quarter-turn count, the vector of one term and the one reader of sums.
+_GREGORY_ONLY = {"_turns", "_vector", "_combo_vector"}
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -46,6 +48,20 @@ def test_quarter_turns_are_read_only_in_gregory() -> None:
         if path.name != "gregory.py"
     }
     assert {name: used for name, used in found.items() if used} == {}
+
+
+def test_angle_sums_have_one_exact_reader() -> None:
+    # Verify and the pi formula check compare Stormer-basis vectors, decompose
+    # builds its vector the same way, and only the certificate multiplies the
+    # Gaussian product out; gregory_verify, the CLI body, prints its powers.
+    gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
+    assert "_combo_vector" in _names(_function(gregory_py, "verify_identity"))
+    assert "_combo_vector" in _names(_function(gregory_py, "_formula_multiple"))
+    assert "_vector" in _names(_function(gregory_py, "decompose"))
+    assert _functions_naming("_powers") == {"identity_certificate", "gregory_verify"}
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not _names(tree) & {"_verdict", "_combo_turns", "_t1_multiple"}, path.name
 
 
 def test_stormer_of_prime_leaves_its_checks_to_arith() -> None:

@@ -115,7 +115,9 @@ def test_formula_multiple_is_exact(name: str) -> None:
     formula = FORMULAS[name]
     for k in range(1, 21):
         assert pidigits._formula_multiple(formula * k) == k
-    for bad in (-formula, formula * -3, GregoryCombo(), GregoryCombo.of_integers({2: 1})):
+    # formula - t1 is a nonempty combination equal to 0, not a multiple k >= 1.
+    zero = formula - GregoryCombo.of_integers({1: 1})
+    for bad in (-formula, formula * -3, GregoryCombo(), GregoryCombo.of_integers({2: 1}), zero):
         with pytest.raises(ValueError):
             pidigits._formula_multiple(bad)
 
