@@ -38,13 +38,13 @@ __all__ = [
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Deterministic Miller-Rabin witness sets, each proven sufficient below its
-# bound.  The final tier covers everything below 3.317e24.
+# bound, the least strong pseudoprime to its bases; n picks the first tier
+# whose bound exceeds it.  The final tier covers everything below 3.317e24.
 _MR_TIERS = (
     (2047, (2,)),
     (1373653, (2, 3)),
     (9080191, (31, 73)),
     (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
     (4759123141, (2, 7, 61)),
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),

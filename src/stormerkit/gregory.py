@@ -389,13 +389,13 @@ def flatten(z: GaussianInt) -> FlattenResult:
 # --- the decomposition engine ----------------------------------------------
 
 _memo_lock = threading.Lock()
-# n -> t_n over the Stormer basis, as {s: coefficient} with s = 1 for t_1.
-_t_memo: dict[int, dict[int, int]] = {}
-# p == 1 (mod 4) -> (a, b, A(p)): a + bi is the first-quadrant Gaussian prime
-# dividing S(p) + i, and A(p) its argument over the Stormer basis.
+# The only state of the engine, grown by the primes met and never by n:
+# p == 1 (mod 4) -> (a, b, A(p)), a + bi the first-quadrant Gaussian prime
+# dividing S(p) + i and A(p) its argument over the Stormer basis.
 _prime_memo: dict[int, tuple[int, int, dict[int, int]]] = {}
-# s -> t_s as an ArcTerm, built once for every s a result of decompose names.
-_basis_terms: dict[int, ArcTerm] = {}
+# s -> t_s as an ArcTerm for the terms that recur in results: t_1 and the
+# t_S(p) of _prime_memo's entries, added with them.
+_basis_terms: dict[int, ArcTerm] = {1: ArcTerm.integer(1)}
 
 
 def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
@@ -469,6 +469,7 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
             powers.append((a, b, 1))
             _add(arg, others, -1)
             arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
+        _basis_terms[s] = ArcTerm.integer(s)
         entry = _prime_memo[p] = (a, b, arg)
     return entry
 
@@ -481,31 +482,22 @@ def decompose(n: int) -> GregoryCombo:
     (1 + i)**e2 times prod(pi_p**e) with pi_p or its conjugate picked by
     n mod p, and t_n = e2*t_1 + sum(+-e*A(p)) less 2*q*t_1 for the q
     quarter turns of that product (:func:`_vector`).  Each A(p) is a
-    combination of t_s with s Stormer and s <= (p - 1)/2 < n.  The result is
-    verified exactly, in quarter turns, before it is returned.
+    combination of t_s with s Stormer and s <= (p - 1)/2 < n.  That sum is
+    verified exactly, in quarter turns, before it is returned.  Nothing is
+    kept per n: a call adds only the table entries A(p) it meets.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
+    norm = arith._factorize_norm(n * n + 1)
+    if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
+        return GregoryCombo._canonical({ArcTerm.integer(n): 1})
     with _memo_lock:
-        combo = _t_memo.get(n)
-        if combo is None:
-            norm = arith._factorize_norm(n * n + 1)
-            big = norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE)
-            combo = _t_memo[n] = {n: 1} if big else _vector(n, 1, norm)
-    powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in combo.items()]
+        vector = _vector(n, 1, norm)
+    powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in vector.items()]
     q, _, im = _turns(powers)
     if q or im:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
-    return GregoryCombo._canonical({_basis_term(s): c for s, c in combo.items()})
-
-
-def _basis_term(s: int) -> ArcTerm:
-    """t_s from _basis_terms, built on first use.  Outside the memo lock two
-    threads may both build it; the two are equal and immutable."""
-    term = _basis_terms.get(s)
-    if term is None:
-        term = _basis_terms[s] = ArcTerm.integer(s)
-    return term
+    return GregoryCombo._canonical({_basis_terms[s]: c for s, c in vector.items()})
 
 
 def is_irreducible(n: int) -> bool:

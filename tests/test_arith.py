@@ -32,6 +32,16 @@ def test_is_prime_examples() -> None:
     assert not is_prime(-7)
 
 
+def test_is_prime_rejects_each_tier_bound() -> None:
+    # Each bound is a composite strong pseudoprime to its own tier's bases,
+    # so a tier read as n <= bound would call it prime.  3215031751, the
+    # least strong pseudoprime to 2, 3, 5 and 7, falls in the (2, 7, 61) tier.
+    for bound, bases in arith._MR_TIERS:
+        assert not sympy.isprime(bound) and sympy.ntheory.primetest.mr(bound, list(bases)), bound
+        assert not is_prime(bound), bound
+    assert not is_prime(3215031751)
+
+
 # Above the last proven Miller-Rabin tier, is_prime runs the fallback bases.
 _ABOVE_TIERS = arith._MR_TIERS[-1][0]
 

@@ -36,6 +36,14 @@ def combo(coeffs: dict[int, int]) -> GregoryCombo:
     return GregoryCombo.of_integers(coeffs)
 
 
+@pytest.fixture
+def cold_tables(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The decomposition engine from empty tables: no A(p) entry and no
+    basis term but t_1.  The module's own tables come back after the test."""
+    monkeypatch.setattr(gregory, "_prime_memo", {})
+    monkeypatch.setattr(gregory, "_basis_terms", {1: T(1)})
+
+
 # --- arc terms and combos -----------------------------------------------------
 
 def test_arcterm_canonicalization() -> None:
@@ -201,7 +209,7 @@ def test_verify_identity_matches_mpmath_at_large_coefficients(
     assert verify_identity(lhs, rhs) is expected
 
 
-def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch, cold_tables: None) -> None:
     # Verification, decomposition and the pi formula check read exact
     # vectors and quarter turns only: every float that could decide them
     # raises here.
@@ -214,8 +222,6 @@ def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(GregoryCombo, "value", float_used)
     for module in (gregory, pidigits):
         monkeypatch.setattr(module, "round", float_used, raising=False)
-    monkeypatch.setattr(gregory, "_t_memo", {})
-    monkeypatch.setattr(gregory, "_prime_memo", {})
     pidigits._pi.cache_clear()
 
     payload = [decompose(n).to_json() for n in range(1, 3001)]
@@ -361,20 +367,18 @@ def test_decompose_evaluates_to_arctan(n: int) -> None:
 
 @pytest.mark.parametrize("wrong", [{2: -1, 5: 2, 12: 2}, {1: 8, 2: -1, 5: 2, 12: 1}])
 def test_decompose_rejects_a_wrong_memo(wrong: dict[int, int], monkeypatch: pytest.MonkeyPatch) -> None:
-    # t70 = -t2 + 2*t5 + t12; the second combo is 2*pi off, a positive real
+    # t70 = -t2 + 2*t5 + t12; the second vector is 2*pi off, a positive real
     # certificate that only the quarter-turn count rejects.
-    monkeypatch.setattr(gregory, "_t_memo", {70: wrong})
+    monkeypatch.setattr(gregory, "_vector", lambda a, b, norm: dict(wrong))
     with pytest.raises(ArithmeticError):
         decompose(70)
 
 
-def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    # From cold memos: n**2 + 1 is factored once per t_n computed, serving
+def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch, cold_tables: None) -> None:
+    # From cold tables: n**2 + 1 is factored once per decompose call, serving
     # both the Stormer test and the split of n + i, and S(p)**2 + 1 once per
     # table entry whose S(p) + i is not itself prime.  n mod p picks each
     # Gaussian prime, so nothing is factored over Z[i], flattened or rooted.
-    monkeypatch.setattr(gregory, "_t_memo", {})
-    monkeypatch.setattr(gregory, "_prime_memo", {})
     calls = []
     real = arith._factorize_norm
 
@@ -393,7 +397,26 @@ def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch) -> No
         decompose(n)
     composite = [p for p in gregory._prime_memo if _naive_min_root(p) ** 2 + 1 != p]
     assert composite
-    assert len(calls) == len(gregory._t_memo) + len(composite)
+    assert len(calls) == 1000 + len(composite)
+
+
+def test_decompose_keeps_no_state_per_n(cold_tables: None) -> None:
+    # A sweep grows the A(p) table and the basis terms of its entries, and
+    # nothing else: no module-level container gains an entry per n.
+    def sizes() -> dict[str, int]:
+        return {
+            name: len(v)
+            for name, v in vars(gregory).items()
+            if not name.startswith("__") and isinstance(v, (dict, list, set))
+        }
+
+    before = sizes()
+    for n in range(1, 4001):
+        decompose(n)
+    grown = {name for name, size in sizes().items() if size != before.get(name)}
+    assert grown == {"_prime_memo", "_basis_terms"}
+    assert len(gregory._basis_terms) <= len(gregory._prime_memo) + 1
+    assert all(arith.is_prime(p) and p % 4 == 1 for p in gregory._prime_memo)
 
 
 def _split_powers(x: int, skip: int = 0) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -411,16 +434,13 @@ def _split_powers(x: int, skip: int = 0) -> tuple[list[tuple[int, int, int]], li
     return powers, signs
 
 
-def test_prime_table_matches_mpmath(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_prime_table_matches_mpmath(cold_tables: None) -> None:
     # Each entry p -> (a, b, A(p)): a + bi is the first-quadrant prime over p
     # dividing S(p) + i, and A(p) evaluates to its argument.  The sweep
     # 1..3000 picks the conjugate prime as well as pi_p and needs the
     # quarter-turn correction 2*q*t_1 in both the t_n and the A(p) sums, so
     # the golden digest guards each of them.
-    monkeypatch.setattr(gregory, "_t_memo", {})
-    monkeypatch.setattr(gregory, "_prime_memo", {})
-    for n in range(1, 3001):
-        decompose(n)
+    vectors = {n: {t.re: c for t, c in decompose(n)} for n in range(1, 3001)}
     assert {p for p in sympy.primerange(5, 3000) if p % 4 == 1} <= set(gregory._prime_memo)
     with mpmath.workdps(50):
         for p, (a, b, arg) in gregory._prime_memo.items():
@@ -429,7 +449,7 @@ def test_prime_table_matches_mpmath(monkeypatch: pytest.MonkeyPatch) -> None:
             assert abs(value - mpmath.atan2(b, a)) < mpmath.mpf(10) ** -40, p
     signs = {1: 0, -1: 0}
     turned = {"n": 0, "p": 0}
-    for n, t_n in gregory._t_memo.items():
+    for n, t_n in vectors.items():
         if t_n != {n: 1}:
             powers, n_signs = _split_powers(n)
             q, r, s = gregory._turns(powers)
@@ -450,11 +470,9 @@ def test_prime_table_matches_mpmath(monkeypatch: pytest.MonkeyPatch) -> None:
     assert turned == {"n": 535, "p": 183}
 
 
-def test_prime_entry_factors_only_the_cofactor(monkeypatch: pytest.MonkeyPatch) -> None:
-    # From cold memos, every p == 1 (mod 4) below 2*10**4: A(p) is built from
+def test_prime_entry_factors_only_the_cofactor(monkeypatch: pytest.MonkeyPatch, cold_tables: None) -> None:
+    # From cold tables, every p == 1 (mod 4) below 2*10**4: A(p) is built from
     # the factors of m = (S(p)**2 + 1)/p < p/4, never of a multiple of p.
-    monkeypatch.setattr(gregory, "_t_memo", {})
-    monkeypatch.setattr(gregory, "_prime_memo", {})
     calls = []
     real = arith._factorize_norm
 
@@ -492,13 +510,14 @@ def _sweep_large_n() -> list[int]:
 
 def test_decompose_result_equals_the_public_construction() -> None:
     for n in [*range(1, 3001), *_sweep_large_n()]:
+        vector = {t.re: c for t, c in decompose(n).terms().items() if t.im == 1}
         fast = decompose(n)
-        public = GregoryCombo({ArcTerm.integer(s): c for s, c in gregory._t_memo[n].items()})
+        public = GregoryCombo({ArcTerm.integer(s): c for s, c in vector.items()})
         assert fast == public and hash(fast) == hash(public), n
         assert fast.items() == public.items() and fast.terms() == public.terms()
         assert str(fast) == str(public) and fast.to_json() == public.to_json()
         # Neither the returned copy nor the result's own dict is shared with
-        # the memo or with a later result.
+        # the engine's tables or with a later result.
         fast.terms().clear()
         fast._terms[T(n + 1)] = 1
         assert decompose(n) == public, n

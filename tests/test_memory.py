@@ -1,6 +1,13 @@
-"""Peak memory of the sieve commands at 10**6: the x**2 + 1 sieve holds one
-block of x at a time and ``stormer list`` streams its values, so neither
-command grows far past the interpreter that imports the CLI."""
+"""Peak memory of the sieve commands at 10**6 and of a decompose sweep: the
+x**2 + 1 sieve holds one block of x at a time and ``stormer list`` streams
+its values, so neither command grows far past the interpreter that imports
+the CLI; decompose keeps nothing per n, only the A(p) table of the primes
+it meets.
+
+Each child reads its own peak, VmHWM of its address space, from
+/proc/self/status.  Its ``ru_maxrss`` would not do: Linux carries the
+high-water mark of the process that starts a child into the child's
+``ru_maxrss``, and the pytest process is larger than any run here."""
 
 from __future__ import annotations
 
@@ -11,27 +18,49 @@ from pathlib import Path
 
 import pytest
 
-pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from Linux's /proc")
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Headroom over `stormerkit --version` that a command at 10**6 may take.
 _HEADROOM_MB = 12
 
+_PEAK_MB = """
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+"""
+
+# `stormerkit <args>`, printing the peak as the last line of stderr at exit.
+_CLI = _PEAK_MB + """
+import atexit, runpy, sys
+atexit.register(lambda: print(peak_mb(), file=sys.stderr))
+sys.argv[0] = "stormerkit"
+runpy.run_module("stormerkit.cli", run_name="__main__")
+"""
+
+# Decompose 1..2*10**4, dropping each result, and print the peak over the
+# peak after `from stormerkit import gregory`.
+_SWEEP = _PEAK_MB + """
+from stormerkit import gregory
+base = peak_mb()
+for n in range(1, 20001):
+    gregory.decompose(n)
+print(peak_mb() - base)
+"""
+
+
+def _run(code: str, args: list[str] = ()) -> subprocess.CompletedProcess:
+    """A child running ``code`` with ``args`` on the source tree's package."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, (args, child.stderr)
+    return child
+
 
 def _peak_rss_mb(args: list[str]) -> float:
-    """The child's own peak resident set, from wait4, running `stormerkit <args>`."""
-    env = {**os.environ, "PYTHONPATH": str(_SRC)}
-    child = subprocess.Popen(
-        [sys.executable, "-m", "stormerkit.cli", *args],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0, args
-    return usage.ru_maxrss / 1024
+    """The child's own peak resident set running `stormerkit <args>`."""
+    return float(_run(_CLI, args).stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -46,3 +75,8 @@ def test_sieve_commands_stay_near_the_import_baseline(args: list[str], tmp_path)
     baseline = _peak_rss_mb(["--version"])
     peak = _peak_rss_mb([arg.replace("{tmp}", str(tmp_path / "list.csv")) for arg in args])
     assert peak - baseline < _HEADROOM_MB, (peak, baseline)
+
+
+def test_decompose_sweep_stays_near_the_import_baseline() -> None:
+    growth = float(_run(_SWEEP).stdout)
+    assert growth < 4, growth

@@ -108,15 +108,19 @@ def test_pi_divides_only_through_arith_divmod() -> None:
 
 
 def test_decompose_returns_through_the_private_constructor() -> None:
-    # The memo entry is canonical already: decompose neither re-checks it in
-    # GregoryCombo() nor builds a fresh ArcTerm per term.
+    # The vector is canonical already: decompose neither re-checks it in
+    # GregoryCombo() nor builds a fresh ArcTerm per term.  The one ArcTerm it
+    # builds is a Stormer n's own t_n; every other term is a shared basis term.
     func = _function(Path(stormerkit.__file__).parent / "gregory.py", "decompose")
-    calls = [node.func for node in ast.walk(func) if isinstance(node, ast.Call)]
-    assert not any(isinstance(f, ast.Name) and f.id == "GregoryCombo" for f in calls)
-    assert not any(
-        isinstance(f, ast.Attribute) and f.attr == "integer" and isinstance(f.value, ast.Name) and f.value.id == "ArcTerm"
-        for f in calls
-    )
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+    assert not any(isinstance(c.func, ast.Name) and c.func.id == "GregoryCombo" for c in calls)
+    built = [
+        c for c in calls
+        if isinstance(c.func, ast.Attribute) and c.func.attr == "integer" and _names(c.func.value) == {"ArcTerm"}
+    ]
+    assert [[ast.unparse(arg) for arg in c.args] for c in built] == [["n"]]
+    (stormer_branch,) = [node for node in ast.walk(func) if isinstance(node, ast.If) and "_threshold" in _names(node.test)]
+    assert any(c is built[0] for stmt in stormer_branch.body for c in ast.walk(stmt))
 
 
 def test_prime_entry_factors_the_cofactor_not_s_squared_plus_one() -> None:
