@@ -3,7 +3,8 @@
 Everything in this package reduces to a handful of primitives implemented
 here: the one prime sieve (segmented Eratosthenes), deterministic primality
 testing, integer factorization (one gcd with the product of the primes
-below 1000, then Brent's variant of Pollard rho), the extended Euclidean
+below 1000, a second with those == 1 (mod 4) below 10**4 for the norms
+a**2 + b**2, then Brent's variant of Pollard rho), the extended Euclidean
 algorithm, recursive division of big ints, square roots of -1 modulo a
 prime, the Gaussian prime over p read from such a root by Euclid stopped
 below sqrt(p) (Brillhart 1972), and exact arithmetic in Z[i] including
@@ -41,7 +42,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # bound, the least strong pseudoprime to its bases; n picks the first tier
 # whose bound exceeds it.  The final tier covers everything below 3.317e24.
 _MR_TIERS = (
-    (2047, (2,)),
     (1373653, (2, 3)),
     (9080191, (31, 73)),
     (25326001, (2, 3, 5)),
@@ -178,17 +178,19 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-# The trial stage of factorize(): one gcd of n with the product of the
-# primes below _TRIAL_LIMIT finds every one of them that divides n, at the
-# cost of one division of that product by n, where a loop would pay one
-# division per prime.  Rho handles any cofactor this package meets
-# (values <= ~1e13).
+# A trial stage is (primes, product, limit): ``primes`` holds, in ascending
+# order, the primes that can divide n from the previous stage's limit up to
+# ``limit``, and ``product`` is their product.  One gcd of n with the product
+# finds every one of them that divides n, at the cost of one division of
+# that product by n, where a loop would pay one division per prime.
+# factorize() takes one stage, the primes below _TRIAL_LIMIT; rho handles
+# any cofactor this package meets (values <= ~1e13).
 _TRIAL_LIMIT = 1000
 _TRIAL_PRIMES = tuple(sieve_primes(_TRIAL_LIMIT))
-_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+_TRIAL_STAGES = ((_TRIAL_PRIMES, math.prod(_TRIAL_PRIMES), _TRIAL_LIMIT),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeFactorization:
     """Ordered prime factorization: ``factors`` is ((p1, e1), (p2, e2), ...)
     with p1 < p2 < ... and every pi prime."""
@@ -210,12 +212,20 @@ def factorize(n: int) -> PrimeFactorization:
     """Prime factorization of n >= 1; n = 1 gives the empty factorization."""
     if n <= 0:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    return _trial_factorize(n, _TRIAL_PRIMES, _TRIAL_PRODUCT)
+    return _trial_factorize(n, _TRIAL_STAGES)
 
 
-# The primes below _TRIAL_LIMIT that can divide a**2 + b**2 with gcd(a, b) = 1.
-_NORM_TRIAL_PRIMES = tuple(p for p in _TRIAL_PRIMES if p % 4 != 3)
-_NORM_TRIAL_PRODUCT = math.prod(_NORM_TRIAL_PRIMES)
+# The stages of _factorize_norm: 2 and the primes == 1 (mod 4) below
+# _TRIAL_LIMIT, then the primes == 1 (mod 4) up to _NORM_TRIAL_LIMIT, whose
+# product has about 6.4 kbit.  x**2 + 1 for x <= 1e4 leaves no cofactor of
+# 1e8 or more, so it never reaches Miller-Rabin or rho.
+_NORM_TRIAL_LIMIT = 10_000
+_NORM_LOW_PRIMES = tuple(p for p in _TRIAL_PRIMES if p % 4 != 3)
+_NORM_HIGH_PRIMES = tuple(p for p in _primes_between(_TRIAL_LIMIT, _NORM_TRIAL_LIMIT) if p % 4 == 1)
+_NORM_STAGES = (
+    (_NORM_LOW_PRIMES, math.prod(_NORM_LOW_PRIMES), _TRIAL_LIMIT),
+    (_NORM_HIGH_PRIMES, math.prod(_NORM_HIGH_PRIMES), _NORM_TRIAL_LIMIT),
+)
 
 
 def _factorize_norm(n: int) -> PrimeFactorization:
@@ -224,41 +234,48 @@ def _factorize_norm(n: int) -> PrimeFactorization:
 
     A prime q == 3 (mod 4) dividing a**2 + b**2 would make -1 a square mod
     q unless q divided both a and b, so only 2 and the primes == 1 (mod 4)
-    are tried.  That skips no possible factor, so the cofactor rule and the
-    rho fallback of :func:`factorize` hold unchanged.
+    are tried, in the two stages of _NORM_STAGES: below 1000, then below
+    10**4 for a cofactor of at least 10**6.  That skips no possible factor,
+    so the cofactor rule of :func:`_trial_factorize` holds: a cofactor below
+    10**6 after the first stage, or below 10**8 after the second, is 1 or
+    prime, and only a larger one goes to Miller-Rabin and rho.
     """
-    return _trial_factorize(n, _NORM_TRIAL_PRIMES, _NORM_TRIAL_PRODUCT)
+    return _trial_factorize(n, _NORM_STAGES)
 
 
-def _trial_factorize(n: int, primes: tuple[int, ...], product: int) -> PrimeFactorization:
-    """Factor n >= 1, given ``primes``, every prime below _TRIAL_LIMIT that
-    can divide n, and ``product``, their product.
+def _trial_factorize(n: int, stages: tuple[tuple[tuple[int, ...], int, int], ...]) -> PrimeFactorization:
+    """Factor n >= 1 through the trial ``stages`` (primes, product, limit),
+    in order, where ``primes`` holds every prime that can divide n from the
+    previous stage's limit (or 2) to ``limit``.
 
-    g = gcd(n, product) is the squarefree product of the trial primes that
-    divide n.  Trial division of g while p*p <= g leaves one prime or 1,
-    and each prime found is divided out of n as often as it goes.  The
-    cofactor has no prime below _TRIAL_LIMIT: below _TRIAL_LIMIT**2 it is
-    prime, and Brent rho splits it otherwise.
+    In each stage g = gcd(n, product) is the squarefree product of the
+    stage's primes that divide n.  Trial division of g while p*p <= g leaves
+    one prime or 1, and each prime found is divided out of n as often as it
+    goes.  The cofactor then has no prime below ``limit``: below limit**2 it
+    is 1 or prime, and the next stage runs otherwise.  Past the last stage,
+    Miller-Rabin decides it, and Brent rho splits it if it is composite.
     """
     found: dict[int, int] = {}
-    g = math.gcd(n, product)
-    for p in primes:
-        if p * p > g:
+    for primes, product, limit in stages:
+        g = math.gcd(n, product)
+        for p in primes:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                found[p] = 0
+        if g > 1:
+            found[g] = 0
+        for p in found:
+            while n % p == 0:
+                n //= p
+                found[p] += 1
+        if n < limit * limit:
+            if n > 1:
+                found[n] = 1
             break
-        if g % p == 0:
-            g //= p
-            found[p] = 0
-    if g > 1:
-        found[g] = 0
-    for p in found:
-        while n % p == 0:
-            n //= p
-            found[p] += 1
-    if n > 1:
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-            found[n] = 1
-        else:
-            _factor_into(n, found)
+    else:
+        _factor_into(n, found)
     return PrimeFactorization(tuple(sorted(found.items())))
 
 

@@ -58,7 +58,7 @@ class IdentityParseError(ValueError):
     """Raised when an identity string does not match the grammar."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcTerm:
     """Canonical argument term arg(re + im*i) with re >= 1, im >= 1 coprime.
 
@@ -234,8 +234,9 @@ def _turns(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
     """
     q, re, im = 0, 1, 0
     for a, b, e in terms:
-        t, a, b = arith._quarter(a, b)
-        q += t * e
+        if a <= 0 or b < 0:
+            t, a, b = arith._quarter(a, b)
+            q += t * e
         while e:
             if e & 1:
                 re, im = re * a - im * b, re * b + im * a
@@ -412,9 +413,10 @@ def _factor_args(a: int, b: int, norm: arith.PrimeFactorization) -> tuple[dict[i
     Stormer basis, and ``powers`` the triples (a, b, e) of their product for
     :func:`_turns`.  The prime over 2 is 1 + i, to the power e2.  An odd q**e
     exactly dividing a**2 + b**2 does not divide b, and a + bi = b*(r + i)
-    for r = a/b mod q, a root of x**2 == -1 (mod q): S(q) = min(r, q - r),
-    and the prime is pi_q when 2r < q and the conjugate of pi_q, of argument
-    -A(q), when not.
+    for r = a/b mod q (a mod q when b = 1, as for every t_n and every
+    A(p)), a root of x**2 == -1 (mod q): S(q) = min(r, q - r), and the
+    prime is pi_q when 2r < q and the conjugate of pi_q, of argument -A(q),
+    when not.
     """
     combo: dict[int, int] = {}
     powers = []
@@ -423,10 +425,12 @@ def _factor_args(a: int, b: int, norm: arith.PrimeFactorization) -> tuple[dict[i
             combo[1] = combo.get(1, 0) + e
             powers.append((1, 1, e))
         else:
-            r = a * pow(b, -1, q) % q
+            r = (a if b == 1 else a * pow(b, -1, q)) % q
             sign = 1 if 2 * r < q else -1
             x, y, arg = _prime_entry(q, min(r, q - r))
-            _add(combo, arg, sign * e)
+            scale = sign * e
+            for s, c in arg.items():
+                combo[s] = combo.get(s, 0) + scale * c
             powers.append((x, sign * y, e))
     return combo, powers
 

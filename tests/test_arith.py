@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -34,9 +36,12 @@ def test_is_prime_examples() -> None:
 
 def test_is_prime_rejects_each_tier_bound() -> None:
     # Each bound is a composite strong pseudoprime to its own tier's bases,
-    # so a tier read as n <= bound would call it prime.  3215031751, the
-    # least strong pseudoprime to 2, 3, 5 and 7, falls in the (2, 7, 61) tier.
+    # so a tier read as n <= bound would call it prime.  Each is at least
+    # 47**2 and has no prime factor up to 47, so trial division passes it on
+    # to the tiers and every bound reaches its own.  3215031751, the least
+    # strong pseudoprime to 2, 3, 5 and 7, falls in the (2, 7, 61) tier.
     for bound, bases in arith._MR_TIERS:
+        assert bound >= 47 * 47 and min(sympy.primefactors(bound)) > 47, bound
         assert not sympy.isprime(bound) and sympy.ntheory.primetest.mr(bound, list(bases)), bound
         assert not is_prime(bound), bound
     assert not is_prime(3215031751)
@@ -321,6 +326,60 @@ def test_factorize_norm_of_x_squared_plus_one_to_2e4() -> None:
     for x in range(1, 20001):
         n = x * x + 1
         assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n), x
+
+
+def test_norms_of_x_squared_plus_one_to_1e4_need_no_miller_rabin_or_rho(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The second norm stage tries the primes == 1 (mod 4) below 1e4, so a
+    # cofactor below 1e8, such as any left by x**2 + 1 for x <= 1e4, is 1 or
+    # prime by the trial bound alone.
+    calls = []
+    for name in ("_miller_rabin", "_brent_rho"):
+        real = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    for x in range(1, 10001):
+        arith._factorize_norm(x * x + 1)
+    assert calls == []
+    # A cofactor past 1e8 still takes Miller-Rabin and then rho.
+    assert arith._factorize_norm(10009**2).factors == ((10009, 2),)
+    assert set(calls) == {"_miller_rabin", "_brent_rho"}
+
+
+# Products of primes == 1 (mod 4) on either side of the norm stages' limits,
+# 1000 and 1e4, and cofactors on either side of 1e6 and 1e8, the bounds below
+# which a cofactor left by one stage or by both is 1 or prime.
+@pytest.mark.parametrize("n", [
+    997 * 1009,
+    1009 * 1013,
+    1009**2 * 1013,
+    999961,  # the largest prime == 1 (mod 4) below 1e6
+    1000033,
+    9973**2,
+    9973 * 10009,
+    9901 * 9949 * 9973,
+    2 * 5**3 * 1009**3 * 9973 * 10009,
+    10009**2,
+    10009 * 10037,
+    99999989,  # the largest prime == 1 (mod 4) below 1e8
+    100000037,  # the least prime == 1 (mod 4) above 1e8
+    2 * 5 * 99999989,
+    2 * 1009 * 100000037,
+    9973 * 100000037,
+])
+@pytest.mark.parametrize("factor", [factorize, arith._factorize_norm], ids=["all", "norm"])
+def test_factorize_at_the_norm_stage_boundaries_matches_sympy(factor, n: int) -> None:
+    assert dict(factor(n).factors) == sympy.factorint(n)
+
+
+def test_prime_factorization_is_a_slotted_frozen_value() -> None:
+    f = factorize(50)
+    assert f == arith.PrimeFactorization(((2, 1), (5, 2))) and hash(f) == hash(arith.PrimeFactorization(((2, 1), (5, 2))))
+    assert f != factorize(10)
+    assert repr(f) == "PrimeFactorization(factors=((2, 1), (5, 2)))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.factors = ()  # type: ignore[misc]
+    assert not hasattr(f, "__dict__")
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert (f.value(), f.largest_prime(), f.primes()) == (50, 5, (2, 5))
 
 
 # --- extended gcd ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -69,10 +71,26 @@ def test_combo_arithmetic_and_equality() -> None:
 
 def test_combo_json_round_trip() -> None:
     c = GregoryCombo({T(5): 4, T(239): -1, ArcTerm(79, 3): 2})
+    assert json.dumps(c.to_json()) == (
+        '{"terms": [{"re": 5, "im": 1, "coef": 4}, {"re": 79, "im": 3, "coef": 2}, {"re": 239, "im": 1, "coef": -1}]}'
+    )
     restored = GregoryCombo.from_json(json.loads(json.dumps(c.to_json())))
     assert restored == c
     # integer shorthand accepted on input
     assert GregoryCombo.from_json({"terms": [{"n": 5, "coef": 4}]}) == combo({5: 4})
+
+
+def test_arcterm_is_a_slotted_frozen_value() -> None:
+    t = ArcTerm(79, 3)
+    assert t == ArcTerm.of(158, 6) and hash(t) == hash(ArcTerm(79, 3))
+    assert t != ArcTerm(3, 79) and T(5) == ArcTerm(5, 1)
+    assert repr(t) == "ArcTerm(re=79, im=3)" and str(t) == "t79/3"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.re = 80  # type: ignore[misc]
+    assert not hasattr(t, "__dict__")
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert t.x == Fraction(79, 3) and t.gaussian() == GaussianInt(79, 3)
+    assert {T(5): 1}[ArcTerm(5, 1)] == 1
 
 
 _ARC_TERMS = st.builds(ArcTerm.of, st.integers(1, 400), st.integers(1, 12)) | st.builds(T, st.integers(1, 400))
