@@ -581,16 +581,20 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
 
 def _prime_over(p: int, r: int) -> tuple[int, int]:
     """(a, b) with a + bi the first-quadrant Gaussian prime over a prime
-    p == 1 (mod 4) that divides r + i, for r a root of x**2 == -1 (mod p).
+    p == 1 (mod 4) that divides r + i, for r a root of x**2 == -1 (mod p);
+    for any odd p > 1 with such a root, a + bi is the first-quadrant
+    Gaussian integer of norm p, of content 1, that divides r + i.
 
-    With S = S(p), the root below p/2, Euclid on (p, S) stopped at the
-    first remainder below sqrt(p) gives p = a**2 + b**2: a is that
-    remainder and b the next (Brillhart, "Note on representing a prime as
-    a sum of two squares", Math. Comp. 26, 1972).  These are the
-    continuants that :func:`stormerkit.twosquares.two_squares` reads from
-    the palindrome of p/S.  The pair is oriented so that a + bi divides
-    S + i, that is S*b == a (mod p); for 2r > p, r == -S and the prime
-    dividing r + i is the conjugate, whose first-quadrant associate is
+    With S = min(r, p - r) for r reduced mod p, S(p) for a prime, Euclid
+    on (p, S) stopped at the first remainder below sqrt(p) gives
+    p = a**2 + b**2: a is that remainder and b the next (Brillhart, "Note
+    on representing a prime as a sum of two squares", Math. Comp. 26,
+    1972).  These are the continuants that
+    :func:`stormerkit.twosquares.two_squares` reads from the palindrome of
+    p/S; p/S is a palindrome for a composite p too, as Smith's proof of it
+    needs only S**2 == -1 (mod p).  The pair is oriented so that a + bi
+    divides S + i, that is S*b == a (mod p); for 2r > p, r == -S and the
+    divisor of r + i is the conjugate, whose first-quadrant associate is
     b + ai.
     """
     r %= p

@@ -323,11 +323,10 @@ def pi_cmd(formula: str, digits: int, max_terms: int | None) -> tuple:
             raise click.UsageError(str(exc))
         if lhs != gregory.GregoryCombo.of_integers({1: 1}):
             raise ValueError(f"formula must have t1 alone on the left: {formula!r}")
-        k = gregory._formula_multiple(rhs)
-        if k != 1:
-            raise ValueError(f"identity {formula!r} does not hold: its right side equals {k}*t1")
         combo = rhs
-    pidigits._checked_multiple(combo, digits, max_terms)
+    k = pidigits._checked_multiple(combo, digits, max_terms)
+    if k != 1:
+        raise ValueError(f"identity {formula!r} does not hold: its right side equals {k}*t1")
     if digits >= 2000 and max_terms is None:
         click.echo(f"computing {digits} digits...", err=True)
     result = pidigits.compute_pi(combo, digits, max_terms)

@@ -13,15 +13,21 @@ basis, and A(p) itself reduces the same way through the factors of
 result unique).  The prime over 2 is 1 + i, of argument t_1, and units
 contribute quarter turns, 2*t_1 each.
 
-Every angle sum is read exactly as a vector over that basis, t_1 included
-(:func:`_vector`): each term a + bi factors the same way, r = a/b mod q
-picking the Gaussian prime over each odd q | a**2 + b**2, and the quarter
-turns of the product (:func:`_turns`) give its t_1 correction.  As the A(p)
-and pi are linearly independent over Q, an identity holds exactly when its
-two sides have the same vector, and a hidden 2*pi*m shows as 8*m on t_1;
-:func:`_combo_vector` alone reads these, no float decides them, and their
-cost does not grow with the coefficients.  The Gaussian product itself is
-multiplied out only as a certificate to print (:func:`identity_certificate`).
+The one reader of an angle sum (:func:`_vector`) splits each term a + bi
+into Gaussian parts, r = a/b mod q picking the part over each odd q of a
+factorization of a**2 + b**2 into coprime pieces, and the quarter turns of
+their product (:func:`_turns`) give its t_1 correction.  decompose reads it
+over the primes, with the A(p) as the entries.  A verdict needs no primes
+(:func:`_combo_vector`): gcds refine the terms' norms into pairwise coprime
+pieces m on which every term's root is +-S_m, and the entry of m is the
+argument of rho_m, the Gaussian integer of norm m dividing S_m + i.  The
+rho_m are pairwise coprime, and each is coprime to its conjugate as a and
+b are coprime, so their arguments and pi are linearly independent over Q:
+an identity holds exactly when the vector of its difference is empty, and
+a hidden 2*pi*m shows as 8*m on t_1.  No float decides a verdict, and no
+factoring, primality test or table does; its cost does not grow with the
+coefficients.  The Gaussian product itself is multiplied out only as a
+certificate to print (:func:`identity_certificate`).
 The flattening of a + bi to e +- i through a*d + b*c = +-1 is kept as
 :func:`flatten`.
 """
@@ -33,7 +39,7 @@ import re as _re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import arith
 from .arith import GaussianInt
@@ -258,18 +264,75 @@ def _powers(terms: Iterable[tuple[ArcTerm, int]]) -> list[tuple[int, int, int]]:
     return [(t.re, t.im if c > 0 else -t.im, abs(c)) for t, c in terms]
 
 
+def _refine(todo: list[tuple[int, int]]) -> list[int]:
+    """Pairwise coprime odd moduli m > 1, each n of the pairs (n, r) in
+    ``todo`` a product of their powers, r being a root of x**2 == -1 (mod n)
+    with n odd (Bernstein, "Factoring into coprimes in essentially linear
+    time", J. Algorithms 54, 2005, here by plain pairwise gcds).
+
+    Two entries (n, r) and (m, s) that share g = gcd(m, n) > 1 give way to
+    m/g, n/g and the split of g by d = gcd(r - s, g).  A root of -1 modulo
+    an odd prime power is one of two, +-s, fixed by its value mod the prime,
+    so d is the part of g where r == s and g/d the part where r == -s,
+    coprime to d.  m/g keeps s and the other three take r, so each new
+    piece has one sign on the whole of it against the root of each entry it
+    came from.  By induction, each input's root is +-S_m on every m that
+    divides its n, S_m = min(r, m - r).
+    """
+    base: dict[int, int] = {}
+    while todo:
+        n, r = todo.pop()
+        m = next((m for m in base if math.gcd(m, n) > 1), 0)
+        if not m:
+            base[n] = r
+            continue
+        s = base.pop(m)
+        g = math.gcd(m, n)
+        d = math.gcd(r - s, g)
+        todo += [(k, x % k) for k, x in ((m // g, s), (n // g, r), (d, r), (g // d, r)) if k > 1]
+    return list(base)
+
+
+def _piece(m: int, s: int) -> tuple[int, int, dict[int, int]]:
+    """(a, b, {m: 1}) for a piece m of :func:`_refine` with S_m = s: a + bi
+    of norm m divides s + i (:func:`arith._prime_over`), and its argument is
+    the basis element named m."""
+    return (*arith._prime_over(m, s), {m: 1})
+
+
 def _combo_vector(combo: GregoryCombo) -> dict[int, int]:
-    """sum(c * arg(t)) over ``combo`` as a vector over the Stormer basis,
-    {s: coefficient} with s = 1 for t_1 and zeros dropped: the sum of each
-    term's :func:`_vector`.  The basis is linearly independent over Q, so
-    the sum is zero exactly when the vector is empty, and k*t_1 exactly
-    when it is {1: k}.  This is the one place an angle sum becomes a
-    verdict; its cost is that of factoring each term's norm, whatever the
-    coefficients."""
+    """sum(c * arg(t)) over ``combo`` as an exact vector, {1: coefficient of
+    t_1, m: coefficient of Arg(rho_m)} with zeros dropped: the sum of each
+    term's :func:`_vector` over a coprime base rather than over primes.
+
+    The odd parts of the terms' norms a**2 + b**2 are refined by gcds into
+    pairwise coprime pieces m, on each of which every term's root
+    r = a/b mod m is +-S_m (:func:`_refine`), and rho_m is the first-quadrant
+    Gaussian integer of norm m that divides S_m + i (:func:`_piece`).  Up to
+    a unit, a + bi is (1 + i)**e2 times rho_m or its conjugate to the power
+    m has in its norm, for each m: on every prime of m it takes the Gaussian
+    prime over that prime which divides r + i.  The rho_m share no Gaussian
+    prime, and each is coprime to its conjugate, as a and b are coprime; so
+    their arguments and pi are linearly independent over Q.  The sum is
+    therefore zero exactly when the vector is empty, and k*t_1 exactly when
+    it is {1: k}.  This is the one place an angle sum becomes a verdict: it
+    takes gcds and modular inverses only, factors nothing and touches no
+    table, whatever the terms and coefficients."""
+    # a**2 + b**2 is 2 (mod 4) when a and b are both odd, and odd otherwise.
+    odd = {t: (t.re * t.re + t.im * t.im) >> (t.re & t.im & 1) for t in combo._terms}
+    base = _refine([(n, t.re * pow(t.im, -1, n) % n) for t, n in odd.items() if n > 1])
     total: dict[int, int] = {}
-    with _memo_lock:
-        for t, c in combo._terms.items():
-            _add(total, _vector(t.re, t.im, arith._factorize_norm(t.re * t.re + t.im * t.im)), c)
+    for t, c in combo._terms.items():
+        n = odd[t]
+        factors = [(2, 1)] if t.re & t.im & 1 else []
+        for m in base:
+            e = 0
+            while n % m == 0:
+                n //= m
+                e += 1
+            if e:
+                factors.append((m, e))
+        _add(total, _vector(t.re, t.im, factors, _piece), c)
     return {s: c for s, c in total.items() if c}
 
 
@@ -282,8 +345,8 @@ def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
 
 
 def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
-    """Exact check that sum(lhs) equals sum(rhs) as real numbers: the two
-    sides have the same vector over the Stormer basis (:func:`_combo_vector`).
+    """Exact check that sum(lhs) equals sum(rhs) as real numbers: their
+    difference has the empty vector over a coprime base (:func:`_combo_vector`).
     A difference that is a positive real product but a multiple 2*pi*m,
     m != 0, reads as {1: 8*m}, and is rejected.
     """
@@ -404,30 +467,40 @@ def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
         dst[s] = dst.get(s, 0) + scale * c
 
 
-def _factor_args(a: int, b: int, norm: arith.PrimeFactorization) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
-    """The Gaussian primes of a + bi, a, b >= 1 coprime, over the factors of
-    ``norm``, the prime factorization of a**2 + b**2, or of (a**2 + b**2)/p
-    for a prime p that divides it once.
+# entry(q, s) -> (x, y, arg): the Gaussian integer x + yi over q dividing
+# s + i, and its argument over a basis; see _factor_args.
+_Entry = Callable[[int, int], tuple[int, int, dict[int, int]]]
+
+
+def _factor_args(
+    a: int, b: int, factors: Iterable[tuple[int, int]], entry: _Entry
+) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """The Gaussian parts of a + bi, a, b >= 1 coprime, over ``factors``, the
+    pairs (q, e) of a factorization of a**2 + b**2 into powers of 2 and of
+    pairwise coprime odd q, or of (a**2 + b**2)/p for a prime p that divides
+    it once.
 
     Returns (combo, powers): ``combo`` is the sum of their arguments over the
-    Stormer basis, and ``powers`` the triples (a, b, e) of their product for
-    :func:`_turns`.  The prime over 2 is 1 + i, to the power e2.  An odd q**e
-    exactly dividing a**2 + b**2 does not divide b, and a + bi = b*(r + i)
-    for r = a/b mod q (a mod q when b = 1, as for every t_n and every
-    A(p)), a root of x**2 == -1 (mod q): S(q) = min(r, q - r), and the
-    prime is pi_q when 2r < q and the conjugate of pi_q, of argument -A(q),
-    when not.
+    basis that ``entry`` reads, and ``powers`` the triples (a, b, e) of their
+    product for :func:`_turns`.  The part over 2 is (1 + i)**e, of argument
+    e*t_1.  An odd q**e in the factorization is prime to b, and
+    a + bi = b*(r + i) for r = a/b mod q (a mod q when b = 1, as for every
+    t_n and every A(p)), a root of x**2 == -1 (mod q).  With s = min(r, q - r),
+    entry(q, s) gives (x, y, arg): x + yi divides s + i, and is pi_q for a
+    prime q (:func:`_prime_entry`) or rho_q for a piece of a coprime base
+    (:func:`_piece`).  The part over q is (x + yi)**e when 2r < q, and the
+    conjugate's power, of argument -e*arg, when not.
     """
     combo: dict[int, int] = {}
     powers = []
-    for q, e in norm.factors:
+    for q, e in factors:
         if q == 2:
             combo[1] = combo.get(1, 0) + e
             powers.append((1, 1, e))
         else:
             r = (a if b == 1 else a * pow(b, -1, q)) % q
             sign = 1 if 2 * r < q else -1
-            x, y, arg = _prime_entry(q, min(r, q - r))
+            x, y, arg = entry(q, min(r, q - r))
             scale = sign * e
             for s, c in arg.items():
                 combo[s] = combo.get(s, 0) + scale * c
@@ -435,17 +508,17 @@ def _factor_args(a: int, b: int, norm: arith.PrimeFactorization) -> tuple[dict[i
     return combo, powers
 
 
-def _vector(a: int, b: int, norm: arith.PrimeFactorization) -> dict[int, int]:
-    """Arg(a + bi) over the Stormer basis, {s: coefficient} with s = 1 for
-    t_1 and zeros dropped, for a, b >= 1 coprime and ``norm`` the prime
-    factorization of a**2 + b**2.
+def _vector(a: int, b: int, factors: Iterable[tuple[int, int]], entry: _Entry) -> dict[int, int]:
+    """Arg(a + bi) over the basis that ``entry`` reads, {s: coefficient} with
+    s = 1 for t_1 and zeros dropped, for a, b >= 1 coprime and ``factors``
+    a factorization of a**2 + b**2 as :func:`_factor_args` takes it.
 
-    a + bi is, up to a unit, the product of its Gaussian primes
+    a + bi is, up to a unit, the product of its Gaussian parts
     (:func:`_factor_args`): with q the quarter turns of that product, the
-    argument is theirs less 2*q*t_1.  It fills _prime_memo, so the caller
-    holds _memo_lock.
+    argument is theirs less 2*q*t_1.  With :func:`_prime_entry` it fills
+    _prime_memo, so the caller holds _memo_lock.
     """
-    combo, powers = _factor_args(a, b, norm)
+    combo, powers = _factor_args(a, b, factors, entry)
     combo[1] = combo.get(1, 0) - 2 * _turns(powers)[0]
     return {s: c for s, c in combo.items() if c}
 
@@ -469,7 +542,7 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
         arg = {s: 1}
         m = (s * s + 1) // p
         if m != 1:
-            others, powers = _factor_args(s, 1, arith._factorize_norm(m))
+            others, powers = _factor_args(s, 1, arith._factorize_norm(m).factors, _prime_entry)
             powers.append((a, b, 1))
             _add(arg, others, -1)
             arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
@@ -496,7 +569,7 @@ def decompose(n: int) -> GregoryCombo:
     if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
         return GregoryCombo._canonical({ArcTerm.integer(n): 1})
     with _memo_lock:
-        vector = _vector(n, 1, norm)
+        vector = _vector(n, 1, norm.factors, _prime_entry)
     powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in vector.items()]
     q, _, im = _turns(powers)
     if q or im:

@@ -294,17 +294,18 @@ def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None =
 
 def _checked_multiple(formula: GregoryCombo, digits: int, max_terms: int | None) -> int:
     """The k with formula == k * t_1, once the inputs pass every check
-    :func:`compute_pi` makes before it sums a series; else ValueError."""
+    :func:`compute_pi` makes before it sums a series; else ValueError.  The
+    checks on the digits and the terms come first, before the vector is
+    read (:func:`stormerkit.gregory._formula_multiple`)."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    k = _formula_multiple(formula)
     items = formula.items()
     if max_terms is None and any(t.re == t.im for t, _ in items):
         raise ValueError("a formula containing t1 itself needs an explicit term cap")
     for t, _ in items:
         if t.im > t.re:
             raise ValueError(f"series argument {t.im}/{t.re} is not below one")
-    return k
+    return _formula_multiple(formula)
 
 
 # The last evaluation is kept: ``pi --max-terms`` asks compute_pi for the

@@ -129,9 +129,8 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
     size = _BLOCK
     # Primes p < size, with the next x >= the current block on each root.
     small, near, far = array("Q"), array("Q"), array("Q")
-    # Primes p >= size in ascending order.  buckets[b] holds i*size + x - b*size
-    # for each root of large[i] whose next x lies in block b; sorting it sorts by p.
-    large = array("Q")
+    # buckets[b] holds p*size + x - b*size for each root of each prime
+    # p >= size whose next x lies in block b; sorting it sorts by p.
     buckets = [array("Q") for _ in range(limit // size + 1)]
     for b, lo in enumerate(range(0, limit + 1, size)):
         hi = min(lo + size, limit + 1)
@@ -148,15 +147,13 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
                 near.append(root)
                 far.append(p - root)
                 continue
-            i = len(large)
-            large.append(p)
             for x in (root, p - root):
                 if x < lo:
                     # x < p, so p is the largest prime factor of x**2 + 1,
                     # which the sieve leaves in its entry anyway.
                     x += p
                 if x <= limit:
-                    buckets[x // size].append(i * size + x % size)
+                    buckets[x // size].append(p * size + x % size)
         for i, p in enumerate(small):
             for roots in (near, far):
                 start = roots[i]
@@ -168,15 +165,14 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
                 roots[i] = start + len(range(start, hi, p)) * p
         bucket, buckets[b] = buckets[b], None
         for code in sorted(bucket):
-            i, x = divmod(code, size)
-            p = large[i]
+            p, x = divmod(code, size)
             v = t[x] // p
             while v % p == 0:
                 v //= p
             t[x] = v if v > 1 else p
             x += lo + p
             if x <= limit:
-                buckets[x // size].append(i * size + x % size)
+                buckets[x // size].append(p * size + x % size)
         yield lo, t
 
 

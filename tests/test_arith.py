@@ -675,6 +675,41 @@ def test_prime_over_matches_gaussian_gcd_on_large_primes(bits: int, seed: int) -
     _check_prime_over(p)
 
 
+_MODULUS_PRIMES = [p for p in sieve_primes(2000) if p % 4 == 1] + [10**9 + 9, 10**20 + 129]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_MODULUS_PRIMES), st.integers(1, 3), st.booleans()), min_size=1, max_size=4)
+)
+@example([(5, 1, False), (13, 1, True)])
+@example([(5, 2, False)])
+@example([(5, 1, True), (5, 1, False), (13, 2, True)])
+def test_prime_over_on_composite_moduli(parts: list[tuple[int, int, bool]]) -> None:
+    # m = prod(p**k) over primes p == 1 (mod 4), and r the root of -1 mod m
+    # that is +-S(p**k) on each part, joined by CRT: the stopped Euclid gives
+    # the first-quadrant a + bi of norm m that divides r + i, as for a prime.
+    powers: dict[int, int] = {}
+    signs: dict[int, bool] = {}
+    for p, k, sign in parts:
+        powers[p] = powers.get(p, 0) + k
+        signs[p] = sign
+    m = math.prod(p**k for p, k in powers.items())
+    r = 0
+    for p, k in powers.items():
+        q = p**k
+        s = min(sympy.sqrt_mod(-1, q, all_roots=True))
+        s = q - s if signs[p] else s
+        r += s * (m // q) * pow(m // q, -1, q)
+    r %= m
+    assert (r * r + 1) % m == 0
+    a, b = arith._prime_over(m, r)
+    assert a * a + b * b == m and a > 0 and b > 0
+    # (a + bi) divides r + i: (r + i)(a - bi) is m times a Gaussian integer.
+    assert (r * a + b) % m == 0 and (a - r * b) % m == 0
+    assert (a, b) == _prime_over_by_gcd(m, r) == arith._prime_over(m, r - m)
+
+
 # --- square roots of -1 ------------------------------------------------------------
 
 def test_sqrt_minus_one_examples() -> None:

@@ -4,10 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -250,6 +254,179 @@ def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch, cold_tables: 
         assert pidigits.compute_pi(formula, 40).digits == "3.1415926535897932384626433832795028841971"
 
 
+def _stormer_basis_vector(terms: GregoryCombo) -> dict[int, int]:
+    """sum(c * arg(t)) over the Stormer basis, read term by term from the
+    prime factors of each norm: the reading verdicts made before they read
+    a coprime base, kept here as a reference."""
+    total: dict[int, int] = {}
+    with gregory._memo_lock:
+        for t, c in terms.terms().items():
+            norm = arith._factorize_norm(t.re * t.re + t.im * t.im)
+            for s, x in gregory._vector(t.re, t.im, norm.factors, gregory._prime_entry).items():
+                total[s] = total.get(s, 0) + c * x
+    return {s: x for s, x in total.items() if x}
+
+
+def _multiple(vector: dict[int, int]) -> int | None:
+    """The k with vector == k * t_1 (0 for the empty vector), else None."""
+    return vector.get(1, 0) if set(vector) <= {1} else None
+
+
+def _same_norm_pairs(bound: int) -> list[tuple[ArcTerm, ArcTerm]]:
+    """Pairs of terms t_{a/b}, t_{c/d} with a, b, c, d <= bound and one norm,
+    other than t_{b/a}: their roots a/b and c/d agree on some primes of the
+    norm and are opposite on others."""
+    by_norm: dict[int, list[ArcTerm]] = {}
+    for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            if math.gcd(a, b) == 1:
+                by_norm.setdefault(a * a + b * b, []).append(ArcTerm(a, b))
+    return [(t, u) for terms in by_norm.values() for t in terms for u in terms if u.re not in (t.re, t.im)]
+
+
+_SAME_NORM = _same_norm_pairs(40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_ARC, st.integers(-40, 40)), max_size=4),
+    st.lists(st.tuples(st.integers(2, 3000), st.integers(-3, 3)), max_size=2),
+    st.lists(st.tuples(_ARC, st.integers(-3, 3)), max_size=2),
+    st.lists(st.tuples(st.sampled_from(_SAME_NORM), st.integers(-3, 3)), max_size=2),
+    st.integers(-2, 2),
+)
+@example([], [(70, 1)], [], [], 0)
+@example([], [(7, 2), (239, -1)], [(ArcTerm(3, 2), 1)], [], 1)
+@example([(T(2), 2)], [], [], [], -1)
+@example([], [], [], [((T(8), ArcTerm(7, 4)), 1)], 0)
+def test_coprime_base_reads_as_the_stormer_basis(
+    terms: list[tuple[ArcTerm, int]],
+    zeros: list[tuple[int, int]],
+    pairs: list[tuple[ArcTerm, int]],
+    same_norm: list[tuple[tuple[ArcTerm, ArcTerm], int]],
+    j: int,
+) -> None:
+    # decompose(n) - t_n and t_{a/b} + t_{b/a} - 2*t_1 are zero, and 8*t_1 a
+    # full turn: the draws hold true identities and multiples of t_1 that
+    # random terms alone seldom hit.  Two terms of one norm whose roots
+    # agree on part of it only must be told apart on a piece of the base.
+    # Over either basis the sum must read as the same multiple of t_1, or
+    # as none.
+    total = GregoryCombo(terms) + combo({1: 8 * j})
+    for n, c in zeros:
+        total = total + (decompose(n) - GregoryCombo.single(T(n))) * c
+    for t, c in pairs:
+        total = total + GregoryCombo({t: c}) + GregoryCombo({ArcTerm(t.im, t.re): c}) - combo({1: 2 * c})
+    for (t, u), c in same_norm:
+        total = total + GregoryCombo({t: c}) - GregoryCombo({u: c})
+    reference = _multiple(_stormer_basis_vector(total))
+    assert _multiple(gregory._combo_vector(total)) == reference
+    assert verify_identity(total, GregoryCombo()) is (reference == 0)
+    if total and reference is not None and reference >= 1:
+        assert gregory._formula_multiple(total) == reference
+    else:
+        with pytest.raises(ValueError):
+            gregory._formula_multiple(total)
+
+
+_HUGE = st.builds(ArcTerm.of, st.integers(1, 10**12), st.integers(1, 10**12))
+_MILLION = st.builds(ArcTerm.of, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MILLION, _MILLION, st.integers(-(10**12), 10**12), st.lists(st.tuples(_HUGE, st.integers(-9, 9)), max_size=2),
+       st.integers(-2, 2), st.integers(-3, 3))
+@example(T(2), T(3), 1, [], 0, 0)
+@example(ArcTerm(5, 1), ArcTerm(5, 1), 10**12, [], 1, 0)
+@example(ArcTerm(999_999, 1_000_000), ArcTerm(3, 1_000_000), -7, [(ArcTerm(10**12 - 1, 10**12), 1)], 0, 0)
+def test_verify_identity_matches_mpmath_on_huge_terms(
+    x: ArcTerm, y: ArcTerm, k: int, extra: list[tuple[ArcTerm, int]], j: int, shift: int
+) -> None:
+    # Arg(x) + Arg(y) = Arg(z) for z the product (a + bi)(c + di), a term up
+    # to 10**12 brought to the first quadrant by a quarter turn, 2*t_1, when
+    # its real part is not positive.  The verdict on
+    # k*(x + y - z) + extra + 8*j*t_1 = shift*t_1 must be mpmath's.
+    re, im = x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re
+    turn, re, im = arith._quarter(re, im)
+    lhs = GregoryCombo({x: k}) + GregoryCombo({y: k}) - combo({1: 2 * turn * k}) + combo({1: 8 * j})
+    if im:
+        lhs = lhs - GregoryCombo({ArcTerm.of(re, im): k})
+    lhs = lhs + GregoryCombo(extra)
+    rhs = combo({1: shift})
+    with mpmath.workdps(80):
+        gap = mpmath.fsum(c * mpmath.atan2(t.im, t.re) for t, c in (lhs - rhs).terms().items())
+        expected = abs(gap) < mpmath.mpf(10) ** -50
+    assert verify_identity(lhs, rhs) is expected
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout, stderr",
+    [
+        (["gregory", "verify", "t1 = t12345678901234567890/3"], 0, "false   certificate: ", ""),
+        (
+            ["pi", "--digits", "5", "--formula", "t1 = t3/12345678901234567890"],
+            3,
+            "",
+            "error: series argument 4115226300411522630/1 is not below one\n",
+        ),
+    ],
+)
+def test_short_identities_with_huge_terms_answer_at_once(args: list[str], code: int, stdout: str, stderr: str) -> None:
+    # Each term reduces to t_4115226300411522630, whose norm is 173 times two
+    # primes of 17 and 19 digits: a verdict that factored it would run rho.
+    # pi refuses the term on its cheap check, before the vector is read.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "stormerkit.cli", *args], capture_output=True, text=True, env=env, timeout=2
+    )
+    assert done.returncode == code
+    assert done.stdout.startswith(stdout) and bool(done.stdout) is bool(stdout)
+    assert done.stderr == stderr
+
+
+def _prime_norm_terms() -> list[ArcTerm]:
+    """Terms t_{a/b} whose norm a**2 + b**2 is a prime of 20 to 37 digits."""
+    terms = []
+    for digits in (20, 25, 30, 37, 37, 37):
+        p = sympy.nextprime(10 ** (digits - 1) + 7**digits)
+        while p % 4 != 1:
+            p = sympy.nextprime(p)
+        terms.append(ArcTerm(*arith._prime_over(p, sympy.sqrt_mod(-1, p))))
+    return terms
+
+
+def test_verdicts_factor_nothing_and_leave_the_tables(monkeypatch: pytest.MonkeyPatch) -> None:
+    # verify_identity and _formula_multiple read gcds and modular inverses
+    # only: no factoring, no primality test and no A(p) entry, so a verdict
+    # on a term with a 37-digit prime norm is as fast as on a small one, and
+    # user terms do not grow the engine's tables.  decompose still reads A(p).
+    terms = _prime_norm_terms()
+    calls = []
+
+    def spy(name, real):
+        def called(*args):
+            calls.append(name)
+            return real(*args)
+        return called
+
+    for name in ("_factorize_norm", "_trial_factorize", "factorize", "is_prime", "_miller_rabin", "_brent_rho"):
+        monkeypatch.setattr(arith, name, spy(name, getattr(arith, name)))
+    monkeypatch.setattr(gregory, "_prime_entry", spy("_prime_entry", gregory._prime_entry))
+    memo, basis = dict(gregory._prime_memo), dict(gregory._basis_terms)
+    for t in terms:
+        assert not verify_identity(combo({1: 1}), GregoryCombo.single(t))
+        pair = GregoryCombo({t: 3}) + GregoryCombo({ArcTerm(t.im, t.re): 3})
+        assert verify_identity(pair, combo({1: 6}))
+        assert not verify_identity(pair, combo({1: 14}))
+        assert gregory._formula_multiple(pair) == 6
+        with pytest.raises(ValueError):
+            gregory._formula_multiple(pair + GregoryCombo.single(t))
+    assert calls == []
+    assert gregory._prime_memo == memo and gregory._basis_terms == basis
+    decompose(70)
+    assert "_prime_entry" in calls
+
+
 # --- flattening -----------------------------------------------------------------
 
 def test_flatten_chain_18_minus_5i() -> None:
@@ -387,7 +564,7 @@ def test_decompose_evaluates_to_arctan(n: int) -> None:
 def test_decompose_rejects_a_wrong_memo(wrong: dict[int, int], monkeypatch: pytest.MonkeyPatch) -> None:
     # t70 = -t2 + 2*t5 + t12; the second vector is 2*pi off, a positive real
     # certificate that only the quarter-turn count rejects.
-    monkeypatch.setattr(gregory, "_vector", lambda a, b, norm: dict(wrong))
+    monkeypatch.setattr(gregory, "_vector", lambda *args: dict(wrong))
     with pytest.raises(ArithmeticError):
         decompose(70)
 

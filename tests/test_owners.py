@@ -1,6 +1,8 @@
 """Each exact decision has one owner: the reading of an angle sum as a
-vector over the Stormer basis lives in ``gregory``, which multiplies the
-Gaussian product out only for the certificate ``gregory verify`` prints; the
+vector, over a coprime base for a verdict and over the Stormer basis for
+``decompose``, lives in ``gregory``, which multiplies the Gaussian product
+out only for the certificate ``gregory verify`` prints; a verdict factors
+nothing and reads no A(p) table; the
 check that p is a prime == 1 (mod 4) lives in ``arith``, and so do the one
 route from a root of -1 to the Gaussian prime over p, ``arith._prime_over``,
 and the one division of big values that pi's digits pass through,
@@ -51,9 +53,10 @@ def test_quarter_turns_are_read_only_in_gregory() -> None:
 
 
 def test_angle_sums_have_one_exact_reader() -> None:
-    # Verify and the pi formula check compare Stormer-basis vectors, decompose
-    # builds its vector the same way, and only the certificate multiplies the
-    # Gaussian product out; gregory_verify, the CLI body, prints its powers.
+    # Verify and the pi formula check compare vectors over a coprime base,
+    # decompose builds its vector with the same reader over the Stormer
+    # basis, and only the certificate multiplies the Gaussian product out;
+    # gregory_verify, the CLI body, prints its powers.
     gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
     assert "_combo_vector" in _names(_function(gregory_py, "verify_identity"))
     assert "_combo_vector" in _names(_function(gregory_py, "_formula_multiple"))
@@ -83,10 +86,22 @@ def _functions_naming(name: str) -> set[str]:
 
 
 def test_gaussian_prime_over_p_has_one_route() -> None:
-    # arith._prime_over alone finds the Gaussian prime over p; gaussian_gcd
-    # stays public, but nothing in the package calls it.
+    # arith._prime_over alone finds the Gaussian prime over p, and the
+    # Gaussian integer over a piece of a verdict's coprime base (_piece);
+    # gaussian_gcd stays public, but nothing in the package calls it.
     assert _functions_naming("gaussian_gcd") == set()
-    assert _functions_naming("_prime_over") == {"gaussian_factorize", "_prime_entry", "two_squares"}
+    assert _functions_naming("_prime_over") == {"gaussian_factorize", "_prime_entry", "two_squares", "_piece"}
+
+
+def test_verdicts_name_no_factoring_and_no_table() -> None:
+    # A verdict reads gcds and modular inverses only: the factoring stack,
+    # the A(p) entries and the lock on their table serve decompose alone.
+    gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
+    engine = {"_factorize_norm", "_trial_factorize", "factorize", "is_prime", "_prime_entry"}
+    engine |= {"_prime_memo", "_memo_lock"}
+    for name in ("verify_identity", "_formula_multiple", "_combo_vector", "_refine", "_piece"):
+        assert not _names(_function(gregory_py, name)) & engine, name
+    assert "_prime_entry" in _names(_function(gregory_py, "decompose"))
 
 
 def test_pi_divides_only_through_arith_divmod() -> None:
