@@ -115,22 +115,19 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
     candidate factored on its own.  The only primes dividing x**2 + 1 are 2,
     for odd x, and the primes p == 1 (mod 4) with x == +-S(p) (mod p), so
     walking those two residues with stride p finds every multiple of p.
-    Each block takes the primes below its end: the primes below _BLOCK keep
-    their next x on each root in compact arrays, and a larger prime, which
-    hits a block at most once per root, waits in the bucket of the block its
-    next x falls in.  In a block the primes go in ascending order, the small
-    ones and then the bucket sorted by p, and each is divided out as often
-    as it goes; an entry that drops to 1 becomes the prime that emptied it,
-    which is then its largest.  After every p <= x, the entry of x is 1 or
-    a single prime > x (two would exceed x**2 + 1), so every entry is exact.
-    Memory is one block plus a few words per prime == 1 (mod 4) up to limit.
+    A prime joins in the block that holds it, and each of its roots then
+    waits in the bucket of the block its next x falls in.  A block sorts its
+    bucket, so its primes go in ascending order, and divides each out as
+    often as it goes; an entry that drops to 1 becomes the prime that emptied
+    it, which is then its largest.  After every p <= x, the entry of x is 1
+    or a single prime > x (two would exceed x**2 + 1), so every entry is
+    exact.  Memory is one block plus two 8-byte codes per prime == 1 (mod 4)
+    up to limit.
     """
     _check_table_limit(limit)
     size = _BLOCK
-    # Primes p < size, with the next x >= the current block on each root.
-    small, near, far = array("Q"), array("Q"), array("Q")
     # buckets[b] holds p*size + x - b*size for each root of each prime
-    # p >= size whose next x lies in block b; sorting it sorts by p.
+    # whose next x lies in block b; sorting it sorts by p.
     buckets = [array("Q") for _ in range(limit // size + 1)]
     for b, lo in enumerate(range(0, limit + 1, size)):
         hi = min(lo + size, limit + 1)
@@ -142,11 +139,6 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
             if p % 4 != 1:
                 continue
             root = arith._sqrt_minus_one(p)
-            if p < size:
-                small.append(p)
-                near.append(root)
-                far.append(p - root)
-                continue
             for x in (root, p - root):
                 if x < lo:
                     # x < p, so p is the largest prime factor of x**2 + 1,
@@ -154,22 +146,15 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
                     x += p
                 if x <= limit:
                     buckets[x // size].append(p * size + x % size)
-        for i, p in enumerate(small):
-            for roots in (near, far):
-                start = roots[i]
-                for x in range(start - lo, hi - lo, p):
-                    v = t[x] // p
-                    while v % p == 0:
-                        v //= p
-                    t[x] = v if v > 1 else p
-                roots[i] = start + len(range(start, hi, p)) * p
         bucket, buckets[b] = buckets[b], None
         for code in sorted(bucket):
-            p, x = divmod(code, size)
-            v = t[x] // p
-            while v % p == 0:
-                v //= p
-            t[x] = v if v > 1 else p
+            p, start = divmod(code, size)
+            # A code's x is at most limit, so the walk takes at least one x.
+            for x in range(start, hi - lo, p):
+                v = t[x] // p
+                while v % p == 0:
+                    v //= p
+                t[x] = v if v > 1 else p
             x += lo + p
             if x <= limit:
                 buckets[x // size].append(p * size + x % size)

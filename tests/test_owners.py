@@ -8,8 +8,9 @@ route from a root of -1 to the Gaussian prime over p, ``arith._prime_over``,
 and the one division of big values that pi's digits pass through,
 ``arith._divmod``.  ``decompose`` returns its canonical memo entry without
 re-checking it, and A(p) is built from the factors of (S(p)**2 + 1)/p.  The
-x**2 + 1 sieve holds one block of x at a time, and the CLI writes its output
-in one function."""
+x**2 + 1 sieve holds one block of x at a time and carries every prime
+== 1 (mod 4) by one path, the per-block buckets, and the CLI writes its
+output in one function."""
 
 from __future__ import annotations
 
@@ -161,6 +162,29 @@ def test_stormer_builds_no_whole_range_table() -> None:
     assert arrays and not any("limit" in _names(arg) for node in arrays for arg in node.args)
     blocks = _function(stormer_py, "_lpf_blocks")
     assert not _names(blocks) & {"prime_stormer_table", "StormerPair", "sieve_primes", "_pair"}
+
+
+def test_the_sieve_carries_every_prime_by_one_path() -> None:
+    # No prime keeps its roots in arrays of its own: the sieve builds only its
+    # block and its buckets, and one loop divides a prime out of an entry.
+    stormer_py = Path(stormerkit.__file__).parent / "stormer.py"
+    blocks = _function(stormer_py, "_lpf_blocks")
+    arrays = [node for node in ast.walk(blocks) if isinstance(node, ast.Call) and "array" in _names(node.func)]
+    built = sorted(
+        ast.unparse(node.targets[0])
+        for node in ast.walk(blocks)
+        if isinstance(node, ast.Assign)
+        for call in ast.walk(node.value)
+        if call in arrays
+    )
+    assert len(arrays) == 2 and built == ["buckets", "t"]
+    dividing = [
+        node
+        for node in ast.walk(blocks)
+        if isinstance(node, (ast.For, ast.While))
+        and any(isinstance(child, ast.AugAssign) and isinstance(child.op, ast.FloorDiv) for child in node.body)
+    ]
+    assert len(dividing) == 1
 
 
 def _output_writers(tree: ast.AST) -> list[str]:
