@@ -207,6 +207,17 @@ class PrimeFactorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
+    @classmethod
+    def _of(cls, factors: tuple[tuple[int, int], ...]) -> "PrimeFactorization":
+        """The factorization over ``factors``, already ascending and prime,
+        stored through the slot without the dataclass __init__."""
+        self = object.__new__(cls)
+        _set_factors(self, factors)
+        return self
+
+
+_set_factors = PrimeFactorization.factors.__set__
+
 
 def factorize(n: int) -> PrimeFactorization:
     """Prime factorization of n >= 1; n = 1 gives the empty factorization."""
@@ -251,11 +262,15 @@ def _trial_factorize(n: int, stages: tuple[tuple[tuple[int, ...], int, int], ...
     In each stage g = gcd(n, product) is the squarefree product of the
     stage's primes that divide n.  Trial division of g while p*p <= g leaves
     one prime or 1, and each prime found is divided out of n as often as it
-    goes.  The cofactor then has no prime below ``limit``: below limit**2 it
-    is 1 or prime, and the next stage runs otherwise.  Past the last stage,
-    Miller-Rabin decides it, and Brent rho splits it if it is composite.
+    goes as soon as it is found.  The cofactor then has no prime below
+    ``limit``: below limit**2 it is 1 or prime, and the next stage runs
+    otherwise.  Past the last stage, Miller-Rabin decides it, and Brent rho
+    splits it if it is composite.  The pairs come out ascending: a stage's
+    trial primes in order, then the prime left in g, larger than each of
+    them, and a cofactor or the next stage's primes, all above ``limit``;
+    only the primes from rho are sorted, among themselves.
     """
-    found: dict[int, int] = {}
+    found: list[tuple[int, int]] = []
     for primes, product, limit in stages:
         g = math.gcd(n, product)
         for p in primes:
@@ -263,20 +278,28 @@ def _trial_factorize(n: int, stages: tuple[tuple[tuple[int, ...], int, int], ...
                 break
             if g % p == 0:
                 g //= p
-                found[p] = 0
-        if g > 1:
-            found[g] = 0
-        for p in found:
-            while n % p == 0:
                 n //= p
-                found[p] += 1
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                found.append((p, e))
+        if g > 1:
+            n //= g
+            e = 1
+            while n % g == 0:
+                n //= g
+                e += 1
+            found.append((g, e))
         if n < limit * limit:
             if n > 1:
-                found[n] = 1
+                found.append((n, 1))
             break
     else:
-        _factor_into(n, found)
-    return PrimeFactorization(tuple(sorted(found.items())))
+        rho: dict[int, int] = {}
+        _factor_into(n, rho)
+        found += sorted(rho.items())
+    return PrimeFactorization._of(tuple(found))
 
 
 def largest_prime_factor(n: int) -> int:

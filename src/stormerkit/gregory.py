@@ -84,7 +84,13 @@ class ArcTerm:
 
     @staticmethod
     def integer(n: int) -> "ArcTerm":
-        return ArcTerm(n, 1)
+        """t_n; n + i needs only n >= 1, as im = 1 is coprime to any n."""
+        if n < 1:
+            raise ValueError(f"arc term must have re >= 1 and im >= 1, got {n}+1i")
+        term = object.__new__(ArcTerm)
+        _set_re(term, n)
+        _set_im(term, 1)
+        return term
 
     @staticmethod
     def of(re: int, im: int) -> "ArcTerm":
@@ -107,6 +113,12 @@ class ArcTerm:
 
     def __str__(self) -> str:
         return f"t{self.re}" if self.im == 1 else f"t{self.re}/{self.im}"
+
+
+# The slots' own setters: ArcTerm.integer writes through them, past the
+# frozen __setattr__ and __post_init__.
+_set_re = ArcTerm.re.__set__
+_set_im = ArcTerm.im.__set__
 
 
 def _sort_key(item: tuple[ArcTerm, int]) -> int | Fraction:
@@ -453,6 +465,8 @@ def flatten(z: GaussianInt) -> FlattenResult:
 # --- the decomposition engine ----------------------------------------------
 
 _memo_lock = threading.Lock()
+# decompose's convention, read once rather than as an enum attribute per call.
+_INCLUSIVE = Convention.INCLUSIVE
 # The only state of the engine, grown by the primes met and never by n:
 # p == 1 (mod 4) -> (a, b, A(p)), a + bi the first-quadrant Gaussian prime
 # dividing S(p) + i and A(p) its argument over the Stormer basis.
@@ -499,12 +513,12 @@ def _factor_args(
             powers.append((1, 1, e))
         else:
             r = (a if b == 1 else a * pow(b, -1, q)) % q
-            sign = 1 if 2 * r < q else -1
-            x, y, arg = entry(q, min(r, q - r))
-            scale = sign * e
+            if 2 * r > q:
+                r, e = q - r, -e
+            x, y, arg = entry(q, r)
             for s, c in arg.items():
-                combo[s] = combo.get(s, 0) + scale * c
-            powers.append((x, sign * y, e))
+                combo[s] = combo.get(s, 0) + e * c
+            powers.append((x, y, e) if e > 0 else (x, -y, -e))
     return combo, powers
 
 
@@ -566,11 +580,11 @@ def decompose(n: int) -> GregoryCombo:
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     norm = arith._factorize_norm(n * n + 1)
-    if norm.largest_prime() >= _threshold(n, Convention.INCLUSIVE):
+    if norm.factors[-1][0] >= _threshold(n, _INCLUSIVE):
         return GregoryCombo._canonical({ArcTerm.integer(n): 1})
     with _memo_lock:
         vector = _vector(n, 1, norm.factors, _prime_entry)
-    powers = [(n, 1, 1)] + [(s, -1 if c > 0 else 1, abs(c)) for s, c in vector.items()]
+    powers = [(n, 1, 1)] + [(s, -1, c) if c > 0 else (s, 1, -c) for s, c in vector.items()]
     q, _, im = _turns(powers)
     if q or im:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")

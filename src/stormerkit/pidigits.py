@@ -292,6 +292,10 @@ def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None =
     return FixedPoint(_arctan(a, b, scale, n), precision_digits, guard, n)
 
 
+# The last verdict is kept too: ``pi`` checks the formula before its progress
+# line, and the evaluation behind compute_pi then reads the same verdict, so
+# the formula's vector is read once.
+@lru_cache(maxsize=1)
 def _checked_multiple(formula: GregoryCombo, digits: int, max_terms: int | None) -> int:
     """The k with formula == k * t_1, once the inputs pass every check
     :func:`compute_pi` makes before it sums a series; else ValueError.  The

@@ -62,8 +62,13 @@ class StormerPair:
     x0: int
 
 
+# Read once: each Convention.STRICT is an enum attribute lookup, several
+# times the cost of a module constant on Python 3.11.
+_STRICT = Convention.STRICT
+
+
 def _threshold(x0: int, convention: Convention) -> int:
-    return 2 * x0 + 1 if convention is Convention.STRICT else 2 * x0
+    return 2 * x0 + 1 if convention is _STRICT else 2 * x0
 
 
 def is_stormer(x0: int, convention: Convention = Convention.STRICT) -> StormerVerdict:

@@ -370,6 +370,52 @@ def test_factorize_at_the_norm_stage_boundaries_matches_sympy(factor, n: int) ->
     assert dict(factor(n).factors) == sympy.factorint(n)
 
 
+# The pairs come out in the order they are found, with no sort but of the
+# primes rho finds: largest_prime() reads the last one.  Draws take small
+# prime powers times primes just past 1e4, and 2 at most once, so that two or
+# more of the large ones leave a composite cofactor past both trial bounds,
+# 1e6 and 1e8, and reach rho.
+_PAST_THE_STAGES = list(sympy.primerange(10_000, 10_300))
+_PAST_THE_NORM_STAGES = [p for p in _PAST_THE_STAGES if p % 4 == 1]
+
+
+@st.composite
+def _products_past_the_stages(draw: st.DrawFn, small: list[int], large: list[int]) -> int:
+    powers = draw(st.dictionaries(st.sampled_from(small), st.integers(1, 3), max_size=4))
+    powers |= draw(st.dictionaries(st.sampled_from(large), st.integers(1, 2), max_size=3))
+    return math.prod(p**e for p, e in powers.items()) * draw(st.sampled_from((1, 2)))
+
+
+def _assert_ascending_primes(n: int, f: arith.PrimeFactorization) -> None:
+    primes = [p for p, _ in f.factors]
+    assert all(p < q for p, q in zip(primes, primes[1:])), f.factors
+    assert all(sympy.isprime(p) and e >= 1 for p, e in f.factors), f.factors
+    assert math.prod(p**e for p, e in f.factors) == n
+    assert f.largest_prime() == max(primes, default=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products_past_the_stages(_NEAR_LIMIT, _PAST_THE_STAGES))
+@example(1)
+@example(10007 * 10009)
+@example(12 * 10009 * 10007)
+@example(2**3 * 3 * 997**2 * 10037 * 10039 * 10061)
+@example(997 * 999983 * 1000003)
+def test_factorize_gives_ascending_primes(n: int) -> None:
+    _assert_ascending_primes(n, factorize(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products_past_the_stages(_NEAR_LIMIT_NORM, _PAST_THE_NORM_STAGES))
+@example(1)
+@example(10009 * 10037)
+@example(2 * 5 * 13 * 10037 * 10009)
+@example(5**2 * 9973 * 10037**2 * 10061 * 10069)
+@example(2 * 1009 * 99999989 * 100000037)
+def test_factorize_norm_gives_ascending_primes(n: int) -> None:
+    _assert_ascending_primes(n, arith._factorize_norm(n))
+
+
 def test_prime_factorization_is_a_slotted_frozen_value() -> None:
     f = factorize(50)
     assert f == arith.PrimeFactorization(((2, 1), (5, 2))) and hash(f) == hash(arith.PrimeFactorization(((2, 1), (5, 2))))

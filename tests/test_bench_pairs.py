@@ -1,0 +1,93 @@
+"""``tools/bench_pairs.py`` summarizes alternating benchmark pairs: medians,
+quartiles, wins and the verdict against the parent's spread.  These tests
+feed it result lines as ``perfbench/run.py`` prints them and run no
+benchmark."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+_BETTER = {"work_per_s": "higher", "peak_rss_mb": "lower"}
+
+
+def _line(work: float, rss: float, correct: bool = True) -> str:
+    metrics = {"work_per_s": {"value": work, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return json.dumps({"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics})
+
+
+def _runs(parent: list[float], change: list[float], rss: float = 26.0) -> list[dict]:
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, work in (("parent", p), ("change", c)):
+            stdout = f"gregory-exact seed 101: 1 pass(es)\n{_line(work, rss)}\n"
+            runs.append({"pair": pair, "side": side, "seed": 101, "result": bench_pairs.result_line(stdout)})
+    return runs
+
+
+def test_summary_reads_medians_quartiles_and_wins() -> None:
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0]
+    change = [125.0, 120.0, 95.0, 130.0, 121.0]
+    (work, rss) = bench_pairs.summarize(_runs(parent, change), _BETTER)
+    assert work["metric"] == "work_per_s" and work["pairs"] == 5
+    assert (work["parent_median"], work["change_median"]) == (100.0, 121.0)
+    assert work["parent_quartiles"] == [98.0, 102.0]
+    assert work["change_quartiles"] == [120.0, 125.0]
+    assert work["change_wins"] == 4
+    assert work["gain_pct"] == pytest.approx(21.0)
+    assert work["gain_exceeds_parent_iqr"]
+    # Equal memory on both sides: no win and no gain past the spread.
+    assert rss["change_wins"] == 0 and rss["gain_pct"] == 0.0
+    assert not rss["gain_exceeds_parent_iqr"]
+
+
+def test_a_gain_inside_the_parent_spread_is_not_beyond_it() -> None:
+    parent = [80.0, 120.0, 100.0, 90.0, 110.0]
+    change = [101.0, 121.0, 105.0, 100.0, 111.0]
+    (work, _) = bench_pairs.summarize(_runs(parent, change), _BETTER)
+    assert work["change_wins"] == 5
+    assert work["parent_quartiles"] == [90.0, 110.0]
+    assert not work["gain_exceeds_parent_iqr"]
+
+
+def test_lower_is_better_counts_a_smaller_value_as_a_win() -> None:
+    runs = _runs([100.0] * 3, [100.0] * 3)
+    for run, rss in zip(runs, [26.0, 25.0, 26.0, 25.5, 26.0, 27.0]):
+        run["result"]["metrics"]["peak_rss_mb"]["value"] = rss
+    (_, rss) = bench_pairs.summarize(runs, _BETTER)
+    assert rss["change_wins"] == 2 and rss["gain_pct"] == pytest.approx(100 * 0.5 / 26)
+
+
+def test_a_run_that_is_not_correct_fails_the_report(tmp_path: Path) -> None:
+    runs = _runs([100.0, 101.0], [120.0, 121.0])
+    text, status = bench_pairs.report(runs, _BETTER)
+    assert status == 0 and "wins 2/2" in text
+    runs[3]["result"]["correct"] = False
+    text, status = bench_pairs.report(runs, _BETTER)
+    assert status == 1 and "not correct: pair 1 change (seed 101)" in text
+    # A run that printed no result line is kept as not correct and left out
+    # of the medians.
+    runs[3]["result"] = {"correct": False, "exit": 1}
+    log = tmp_path / "runs.jsonl"
+    log.write_text("".join(json.dumps(run) + "\n" for run in runs))
+    assert bench_pairs.main(["--replay", str(log)]) == 1
+
+
+def test_directions_come_from_the_benchmark_file() -> None:
+    better = bench_pairs.directions()
+    assert better["work_per_s"] == "higher"
+    assert better["setup_s"] == better["peak_rss_mb"] == "lower"
+
+
+def test_result_line_is_the_last_line() -> None:
+    assert bench_pairs.result_line(f"noise\n{_line(1.0, 2.0)}\n")["metrics"]["work_per_s"]["value"] == 1.0
+    with pytest.raises(ValueError):
+        bench_pairs.result_line("")

@@ -284,6 +284,25 @@ def test_pi_max_terms_evaluates_each_series_once(fmt: str, monkeypatch: pytest.M
     assert len(calls) == len(pidigits.FORMULAS["stormer1896"])
 
 
+def test_pi_formula_reads_its_vector_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The CLI checks the formula before its progress line, and compute_pi
+    # reads that verdict rather than the vector a second time.
+    calls = []
+    real = gregory._combo_vector
+
+    def counting(combo):
+        calls.append(combo)
+        return real(combo)
+
+    monkeypatch.setattr(gregory, "_combo_vector", counting)
+    pidigits._pi.cache_clear()
+    pidigits._checked_multiple.cache_clear()
+    result = run("pi", "--digits", "20", "--formula", "t1 = 4*t5 - t239")
+    assert result.exit_code == 0
+    assert result.output.strip() == "3.14159265358979323846"
+    assert len(calls) == 1
+
+
 def test_pi_rejects_unverified_formula() -> None:
     assert run("pi", "--formula", "t1 = 4*t5 + t239", "--digits", "20").exit_code == 3
     assert run("pi", "--formula", "t5 = t5", "--digits", "20").exit_code == 3

@@ -63,6 +63,29 @@ def test_arcterm_canonicalization() -> None:
         ArcTerm(3, -1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 2**31, 2**64 + 1])
+def test_integer_term_is_the_checked_term(n: int) -> None:
+    # ArcTerm.integer skips the content check, which n + i always passes,
+    # and builds the same frozen, slotted value.
+    fast, checked = ArcTerm.integer(n), ArcTerm(n, 1)
+    assert type(fast) is ArcTerm and fast == checked and hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked) == f"ArcTerm(re={n}, im=1)"
+    assert pickle.loads(pickle.dumps(fast)) == checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.re = n + 1  # type: ignore[misc]
+    assert not hasattr(fast, "__dict__")
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_integer_term_refuses_what_the_checked_term_refuses(n: int) -> None:
+    message = f"arc term must have re >= 1 and im >= 1, got {n}+1i"
+    with pytest.raises(ValueError) as checked:
+        ArcTerm(n, 1)
+    with pytest.raises(ValueError) as fast:
+        ArcTerm.integer(n)
+    assert str(fast.value) == str(checked.value) == message
+
+
 def test_combo_arithmetic_and_equality() -> None:
     a = combo({5: 4, 239: -1})
     b = combo({239: -1, 5: 4})
@@ -245,6 +268,7 @@ def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch, cold_tables: 
     for module in (gregory, pidigits):
         monkeypatch.setattr(module, "round", float_used, raising=False)
     pidigits._pi.cache_clear()
+    pidigits._checked_multiple.cache_clear()
 
     payload = [decompose(n).to_json() for n in range(1, 3001)]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -1,0 +1,189 @@
+"""Run the benchmark in alternating pairs on two revisions and compare them.
+
+    python tools/bench_pairs.py PARENT CHANGE --workload NAME [--pairs N]
+        [--seeds 101,102,9001] [--log FILE]
+    python tools/bench_pairs.py --replay FILE
+
+PARENT and CHANGE are any git revisions of this repository.  Each is checked
+out as a detached ``git worktree``, the two side by side in one new
+temporary directory, so that both sides run from sibling checkouts built the
+same way.  Pair i runs
+
+    python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0
+
+once in each checkout, S cycling through the seeds and T being
+``BENCHMARK.json``'s ``run_seconds`` (22).  The parent runs first in even
+pairs and second in odd ones, so a drift in the host's speed falls on both
+sides alike.  ``PYTHONDONTWRITEBYTECODE=1`` is set for every run, so
+neither side reads bytecode that the other side's runs or an older tree left
+behind.  The worktrees are removed at the end.
+
+For each end-to-end metric of ``BENCHMARK.json`` the summary gives both
+medians, the quartiles of both sides, the pairs the change wins in the
+metric's better direction, the median gain, and whether that gain exceeds
+the parent's interquartile range.  The exit status is 1 if any run did not
+report ``correct: true``.  ``--log`` writes one JSON line per run, and
+``--replay`` summarizes such a log again without running anything.
+
+Only the standard library and git are used.  The tool reads ``perfbench/``
+and ``BENCHMARK.json`` and changes neither.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+SIDES = ("parent", "change")
+
+
+def directions() -> dict[str, str]:
+    """metric -> "higher" or "lower", the better direction of each
+    end-to-end metric."""
+    return {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def result_line(stdout: str) -> dict:
+    """The result object run.py prints as the last line of its stdout."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("run.py printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """(Q1, Q3), interpolated between the sorted values."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
+    """One row per metric that every pair of ``runs`` reports, over the
+    pairs in which both sides reported metrics; a run is a record {"pair",
+    "side", "seed", "result"}."""
+    by_pair: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
+    pairs = [
+        sides for _, sides in sorted(by_pair.items())
+        if set(sides) == set(SIDES) and all("metrics" in result for result in sides.values())
+    ]
+    rows = []
+    for name, direction in better.items():
+        if not pairs or any(name not in p[side]["metrics"] for p in pairs for side in SIDES):
+            continue
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        sign = 1 if direction == "higher" else -1
+        parent, change = (statistics.median(values[side]) for side in SIDES)
+        q1, q3 = quartiles(values["parent"])
+        gain = sign * (change - parent)
+        rows.append({
+            "metric": name,
+            "better": direction,
+            "pairs": len(pairs),
+            "parent_median": parent,
+            "change_median": change,
+            "parent_quartiles": [q1, q3],
+            "change_quartiles": list(quartiles(values["change"])),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+            "gain_pct": 100 * gain / parent if parent else 0.0,
+            "gain_exceeds_parent_iqr": gain > q3 - q1,
+        })
+    return rows
+
+
+def report(runs: list[dict], better: dict[str, str]) -> tuple[str, int]:
+    """The summary as text, and the exit status: 1 if a run was not
+    correct, 0 otherwise."""
+    wrong = [f"pair {r['pair']} {r['side']} (seed {r['seed']})" for r in runs if r["result"].get("correct") is not True]
+    lines = []
+    for row in summarize(runs, better):
+        lines.append(
+            f"{row['metric']:<12} ({row['better']} is better) parent {row['parent_median']:.6g} "
+            f"[{row['parent_quartiles'][0]:.6g}, {row['parent_quartiles'][1]:.6g}]  change {row['change_median']:.6g} "
+            f"[{row['change_quartiles'][0]:.6g}, {row['change_quartiles'][1]:.6g}]  gain {row['gain_pct']:+.1f}%  "
+            f"wins {row['change_wins']}/{row['pairs']}  beyond parent IQR: {'yes' if row['gain_exceeds_parent_iqr'] else 'no'}"
+        )
+    lines += [f"not correct: {w}" for w in wrong]
+    return "\n".join(lines), 1 if wrong else 0
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
+
+
+def run_pairs(args: argparse.Namespace, log) -> list[dict]:
+    """Run the pairs in two fresh worktrees of PARENT and CHANGE under one
+    temporary directory, writing each run to ``log`` as it ends."""
+    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
+    base = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    trees = {side: base / side for side in SIDES}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    runs = []
+    try:
+        for side, rev in zip(SIDES, (args.parent, args.change)):
+            _git("worktree", "add", "--detach", str(trees[side]), rev)
+        for pair in range(args.pairs):
+            seed = args.seeds[pair % len(args.seeds)]
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+                       "--seconds", str(seconds), "--trace", "0"]
+                done = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
+                try:
+                    result = result_line(done.stdout)
+                except ValueError:
+                    result = {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
+                run = {"pair": pair, "side": side, "seed": seed, "result": result}
+                runs.append(run)
+                log.write(json.dumps(run) + "\n")
+                log.flush()
+                print(f"pair {pair} {side} seed {seed}: {json.dumps(result.get('metrics', result))}", file=sys.stderr)
+    finally:
+        for tree in trees.values():
+            if tree.exists():
+                _git("worktree", "remove", "--force", str(tree))
+        base.rmdir()
+    return runs
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--workload")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")], default=[101, 102, 9001])
+    parser.add_argument("--log", help="write one JSON line per run to this file")
+    parser.add_argument("--replay", help="summarize a --log file instead of running")
+    args = parser.parse_args(argv)
+    if not args.replay and not (args.parent and args.change and args.workload):
+        parser.error("PARENT, CHANGE and --workload are required unless --replay is given")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv: list[str]) -> int:
+    args = parse_args(argv)
+    if args.replay:
+        runs = [json.loads(line) for line in Path(args.replay).read_text().splitlines() if line.strip()]
+    else:
+        with open(args.log, "a") if args.log else open(os.devnull, "w") as log:
+            runs = run_pairs(args, log)
+    text, status = report(runs, directions())
+    print(text)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
