@@ -118,8 +118,10 @@ def is_prime(n: int) -> bool:
 
     Uses trial division by a few small primes followed by Miller-Rabin with
     witness sets proven correct below 3.3e24; units and negatives are not
-    prime.
+    prime.  A non-integer n, such as 13.0, is refused with TypeError.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"expected an integer, got {n!r}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

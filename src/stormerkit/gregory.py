@@ -84,7 +84,10 @@ class ArcTerm:
 
     @staticmethod
     def integer(n: int) -> "ArcTerm":
-        """t_n; n + i needs only n >= 1, as im = 1 is coprime to any n."""
+        """t_n; an int n + i needs only n >= 1, as im = 1 is coprime to it.
+        Any other n gets the checks of ArcTerm(n, 1)."""
+        if type(n) is not int:
+            return ArcTerm(n, 1)
         if n < 1:
             raise ValueError(f"arc term must have re >= 1 and im >= 1, got {n}+1i")
         term = object.__new__(ArcTerm)

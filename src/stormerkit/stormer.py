@@ -120,14 +120,17 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
     candidate factored on its own.  The only primes dividing x**2 + 1 are 2,
     for odd x, and the primes p == 1 (mod 4) with x == +-S(p) (mod p), so
     walking those two residues with stride p finds every multiple of p.
-    A prime joins in the block that holds it, and each of its roots then
-    waits in the bucket of the block its next x falls in.  A block sorts its
-    bucket, so its primes go in ascending order, and divides each out as
-    often as it goes; an entry that drops to 1 becomes the prime that emptied
-    it, which is then its largest.  After every p <= x, the entry of x is 1
-    or a single prime > x (two would exceed x**2 + 1), so every entry is
-    exact.  Memory is one block plus two 8-byte codes per prime == 1 (mod 4)
-    up to limit.
+    A prime joins in the block that holds it, and each of its roots waits
+    for its second x, root + p or 2*p - root, in the bucket of the block
+    that x falls in.  A block sorts its bucket, so its primes go in
+    ascending order, and divides each out as often as it goes; an entry that
+    drops to 1 becomes the prime that emptied it, which is then its largest.
+    Every p <= x that divides x**2 + 1 meets x at its second x or later, and
+    after them the entry of x is 1 or a single prime > x (two would exceed
+    x**2 + 1), so every entry is exact.  So a root's first x, which is below
+    p, is never walked: its entry is left holding p.
+    Memory is one block plus at most two 8-byte codes per prime == 1
+    (mod 4) up to limit.
     """
     _check_table_limit(limit)
     size = _BLOCK
@@ -144,11 +147,7 @@ def _lpf_blocks(limit: int) -> Iterator[tuple[int, array]]:
             if p % 4 != 1:
                 continue
             root = arith._sqrt_minus_one(p)
-            for x in (root, p - root):
-                if x < lo:
-                    # x < p, so p is the largest prime factor of x**2 + 1,
-                    # which the sieve leaves in its entry anyway.
-                    x += p
+            for x in (root + p, 2 * p - root):
                 if x <= limit:
                     buckets[x // size].append(p * size + x % size)
         bucket, buckets[b] = buckets[b], None

@@ -34,6 +34,14 @@ def test_is_prime_examples() -> None:
     assert not is_prime(-7)
 
 
+@pytest.mark.parametrize("n", [2.5, 10.5, 13.0, 2.0**61 - 1.0])
+def test_is_prime_refuses_a_float(n: float) -> None:
+    # No trial remainder of 2.5 is zero and 2.5 < 47**2: an unchecked float
+    # would be called prime.
+    with pytest.raises(TypeError):
+        is_prime(n)
+
+
 def test_is_prime_rejects_each_tier_bound() -> None:
     # Each bound is a composite strong pseudoprime to its own tier's bases,
     # so a tier read as n <= bound would call it prime.  Each is at least

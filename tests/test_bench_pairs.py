@@ -91,3 +91,43 @@ def test_result_line_is_the_last_line() -> None:
     assert bench_pairs.result_line(f"noise\n{_line(1.0, 2.0)}\n")["metrics"]["work_per_s"]["value"] == 1.0
     with pytest.raises(ValueError):
         bench_pairs.result_line("")
+
+
+def _lists(value: object) -> list[list]:
+    """Every list inside a JSON value, at any depth."""
+    if isinstance(value, dict):
+        return [inner for item in value.values() for inner in _lists(item)]
+    if isinstance(value, list):
+        return [value, *(inner for item in value for inner in _lists(item))]
+    return []
+
+
+def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> None:
+    runs = _runs([100.0, 104.0, 96.0], [125.0, 120.0, 95.0])
+    for run in runs:
+        run.update(workload="gregory-exact", commit=f"{run['side']}-sha", nproc=2, python="3.11.7")
+    runs[2]["seed"] = runs[3]["seed"] = 102
+    log, out = tmp_path / "runs.jsonl", tmp_path / "summary.json"
+    log.write_text("".join(json.dumps(run) + "\n" for run in runs))
+    assert bench_pairs.main(["--replay", str(log), "--json", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record == {
+        "workload": "gregory-exact",
+        "seeds": [101, 102],
+        "pairs": 3,
+        "commits": {"parent": "parent-sha", "change": "change-sha"},
+        "nproc": 2,
+        "python": "3.11.7",
+        "summary": bench_pairs.summarize(runs, bench_pairs.directions()),
+    }
+    assert [row["metric"] for row in record["summary"]] == ["work_per_s", "peak_rss_mb"]
+    # The per-run values stay in the log: the summary's only lists are
+    # pairs of quartiles.
+    assert all(len(values) == 2 for values in _lists(record["summary"]))
+
+
+def test_json_record_of_a_log_without_context_leaves_it_empty() -> None:
+    record = bench_pairs.record(_runs([100.0], [101.0]), _BETTER)
+    assert record["commits"] == {"parent": None, "change": None}
+    assert record["workload"] is record["nproc"] is record["python"] is None
+    assert (record["seeds"], record["pairs"]) == ([101], 1)

@@ -86,6 +86,21 @@ def test_integer_term_refuses_what_the_checked_term_refuses(n: int) -> None:
     assert str(fast.value) == str(checked.value) == message
 
 
+@pytest.mark.parametrize("n", [2.5, 13.0, Fraction(5), "5", None])
+def test_integer_term_of_a_non_int_is_the_checked_term(n: object) -> None:
+    # Only an int n skips ArcTerm(n, 1)'s checks; any other n meets them.
+    with pytest.raises(TypeError) as checked:
+        ArcTerm(n, 1)  # type: ignore[arg-type]
+    with pytest.raises(TypeError) as fast:
+        ArcTerm.integer(n)  # type: ignore[arg-type]
+    assert str(fast.value) == str(checked.value)
+
+
+def test_a_combo_of_integers_refuses_a_float_key() -> None:
+    with pytest.raises(TypeError):
+        GregoryCombo.of_integers({2.5: 1})  # type: ignore[dict-item]
+
+
 def test_combo_arithmetic_and_equality() -> None:
     a = combo({5: 4, 239: -1})
     b = combo({239: -1, 5: 4})

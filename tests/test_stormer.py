@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from functools import cache
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -179,12 +180,52 @@ def test_blocks_match_factoring_below_3000(size: int, limit: int) -> None:
 
 
 def test_a_bucketed_root_past_the_limit_is_dropped() -> None:
-    # p = 13 joins the buckets in block [7, 14): its root 8 is hit there
-    # and recurs at 21, past the limit 20; its root 5 lies below the block and
-    # is first hit at 18.
+    # p = 13 joins the buckets in block [7, 14) and files each root at its
+    # second x: 5 + 13 = 18, hit in block [14, 21), and 26 - 8 = 21, past the
+    # limit 20, which is dropped with no code filed.
     with mock.patch.object(stormer, "_BLOCK", 7):
         table = _largest_prime_factors(20)
     assert list(table)[1:] == [largest_prime_factor(x * x + 1) for x in range(1, 21)]
+
+
+def _filed_codes(limit: int, size: int) -> list[tuple[int, int]]:
+    """(p, x) for each code :func:`_lpf_blocks` files into a bucket, read by
+    a spy over ``stormer.array``: the buckets are the arrays it builds empty,
+    one per block in order, and a code is p*size + x % size."""
+    filed: list[tuple[int, int]] = []
+    blocks = count()
+
+    class Spy(array):
+        def __new__(cls, typecode: str, *initializer: object) -> "Spy":
+            spy = super().__new__(cls, typecode, *initializer)
+            if not initializer:
+                spy.block = next(blocks)
+            return spy
+
+        def append(self, code: int) -> None:
+            p, offset = divmod(code, size)
+            filed.append((p, self.block * size + offset))
+            super().append(code)
+
+    with mock.patch.object(stormer, "array", Spy), mock.patch.object(stormer, "_BLOCK", size):
+        for _ in _lpf_blocks(limit):
+            pass
+    return filed
+
+
+def test_each_root_is_filed_at_its_second_x() -> None:
+    # 10**5 is one block, so every code is filed as its prime joins: two per
+    # prime == 1 (mod 4) up to 10**5 would make 9 566, less each second x
+    # past 10**5.
+    filed = _filed_codes(10**5, stormer._BLOCK)
+    assert len(filed) == 6823
+    assert all(p < x <= 10**5 for p, x in filed)
+
+
+@pytest.mark.parametrize("size", _SMALL_BLOCKS)
+def test_no_code_is_filed_at_or_below_its_prime_in_small_blocks(size: int) -> None:
+    filed = _filed_codes(3000, size)
+    assert filed and all(p < x <= 3000 and (x * x + 1) % p == 0 for p, x in filed)
 
 
 @pytest.mark.parametrize("size", _SMALL_BLOCKS)

@@ -1,8 +1,8 @@
 """Run the benchmark in alternating pairs on two revisions and compare them.
 
     python tools/bench_pairs.py PARENT CHANGE --workload NAME [--pairs N]
-        [--seeds 101,102,9001] [--log FILE]
-    python tools/bench_pairs.py --replay FILE
+        [--seeds 101,102,9001] [--log FILE] [--json FILE]
+    python tools/bench_pairs.py --replay FILE [--json FILE]
 
 PARENT and CHANGE are any git revisions of this repository.  Each is checked
 out as a detached ``git worktree``, the two side by side in one new
@@ -24,6 +24,10 @@ metric's better direction, the median gain, and whether that gain exceeds
 the parent's interquartile range.  The exit status is 1 if any run did not
 report ``correct: true``.  ``--log`` writes one JSON line per run, and
 ``--replay`` summarizes such a log again without running anything.
+``--json`` writes the summary as one JSON object: the rows, the workload,
+the seeds, the pair count, both revisions resolved to commits, and the
+host's processor count and Python version, all read from the runs; it
+holds no per-run numbers.
 
 Only the standard library and git are used.  The tool reads ``perfbench/``
 and ``BENCHMARK.json`` and changes neither.
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -70,7 +75,7 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
     """One row per metric that every pair of ``runs`` reports, over the
     pairs in which both sides reported metrics; a run is a record {"pair",
-    "side", "seed", "result"}."""
+    "side", "seed", "result", ...}."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -118,6 +123,22 @@ def report(runs: list[dict], better: dict[str, str]) -> tuple[str, int]:
     return "\n".join(lines), 1 if wrong else 0
 
 
+def record(runs: list[dict], better: dict[str, str]) -> dict:
+    """The ``--json`` object for ``runs``.  Each field but the summary is
+    read from the runs, so a replayed log gives what its runs recorded, and
+    None where a log predates the field."""
+    first = runs[0] if runs else {}
+    return {
+        "workload": first.get("workload"),
+        "seeds": list(dict.fromkeys(run["seed"] for run in runs)),
+        "pairs": len({run["pair"] for run in runs}),
+        "commits": {side: next((r.get("commit") for r in runs if r["side"] == side), None) for side in SIDES},
+        "nproc": first.get("nproc"),
+        "python": first.get("python"),
+        "summary": summarize(runs, better),
+    }
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
 
@@ -129,10 +150,13 @@ def run_pairs(args: argparse.Namespace, log) -> list[dict]:
     base = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     trees = {side: base / side for side in SIDES}
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    revs = (args.parent, args.change)
+    commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip() for side, rev in zip(SIDES, revs)}
+    host = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
     runs = []
     try:
-        for side, rev in zip(SIDES, (args.parent, args.change)):
-            _git("worktree", "add", "--detach", str(trees[side]), rev)
+        for side in SIDES:
+            _git("worktree", "add", "--detach", str(trees[side]), commits[side])
         for pair in range(args.pairs):
             seed = args.seeds[pair % len(args.seeds)]
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -143,7 +167,8 @@ def run_pairs(args: argparse.Namespace, log) -> list[dict]:
                     result = result_line(done.stdout)
                 except ValueError:
                     result = {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
-                run = {"pair": pair, "side": side, "seed": seed, "result": result}
+                run = {"pair": pair, "side": side, "seed": seed, "workload": args.workload, "commit": commits[side],
+                       **host, "result": result}
                 runs.append(run)
                 log.write(json.dumps(run) + "\n")
                 log.flush()
@@ -165,6 +190,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")], default=[101, 102, 9001])
     parser.add_argument("--log", help="write one JSON line per run to this file")
     parser.add_argument("--replay", help="summarize a --log file instead of running")
+    parser.add_argument("--json", help="write the summary as one JSON object to this file")
     args = parser.parse_args(argv)
     if not args.replay and not (args.parent and args.change and args.workload):
         parser.error("PARENT, CHANGE and --workload are required unless --replay is given")
@@ -180,8 +206,11 @@ def main(argv: list[str]) -> int:
     else:
         with open(args.log, "a") if args.log else open(os.devnull, "w") as log:
             runs = run_pairs(args, log)
-    text, status = report(runs, directions())
+    better = directions()
+    text, status = report(runs, better)
     print(text)
+    if args.json:
+        Path(args.json).write_text(json.dumps(record(runs, better), indent=1) + "\n")
     return status
 
 
