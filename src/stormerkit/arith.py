@@ -209,23 +209,12 @@ class PrimeFactorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @classmethod
-    def _of(cls, factors: tuple[tuple[int, int], ...]) -> "PrimeFactorization":
-        """The factorization over ``factors``, already ascending and prime,
-        stored through the slot without the dataclass __init__."""
-        self = object.__new__(cls)
-        _set_factors(self, factors)
-        return self
-
-
-_set_factors = PrimeFactorization.factors.__set__
-
 
 def factorize(n: int) -> PrimeFactorization:
     """Prime factorization of n >= 1; n = 1 gives the empty factorization."""
     if n <= 0:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    return _trial_factorize(n, _TRIAL_STAGES)
+    return PrimeFactorization(_trial_factorize(n, _TRIAL_STAGES))
 
 
 # The stages of _factorize_norm: 2 and the primes == 1 (mod 4) below
@@ -241,9 +230,11 @@ _NORM_STAGES = (
 )
 
 
-def _factorize_norm(n: int) -> PrimeFactorization:
-    """Prime factorization of n = a**2 + b**2 with gcd(a, b) = 1, such as
-    x**2 + 1: the norm of a Gaussian integer of content 1.
+def _factorize_norm(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n = a**2 + b**2 with gcd(a, b) = 1, such
+    as x**2 + 1, the norm of a Gaussian integer of content 1, as the pairs
+    (p, e) of :func:`_trial_factorize`, ascending, so that the last one
+    holds the largest prime.
 
     A prime q == 3 (mod 4) dividing a**2 + b**2 would make -1 a square mod
     q unless q divided both a and b, so only 2 and the primes == 1 (mod 4)
@@ -256,10 +247,11 @@ def _factorize_norm(n: int) -> PrimeFactorization:
     return _trial_factorize(n, _NORM_STAGES)
 
 
-def _trial_factorize(n: int, stages: tuple[tuple[tuple[int, ...], int, int], ...]) -> PrimeFactorization:
-    """Factor n >= 1 through the trial ``stages`` (primes, product, limit),
-    in order, where ``primes`` holds every prime that can divide n from the
-    previous stage's limit (or 2) to ``limit``.
+def _trial_factorize(n: int, stages: tuple[tuple[tuple[int, ...], int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, e) of the prime factorization of n >= 1, ascending in
+    p (empty for n = 1), found through the trial ``stages`` (primes,
+    product, limit), in order, where ``primes`` holds every prime that can
+    divide n from the previous stage's limit (or 2) to ``limit``.
 
     In each stage g = gcd(n, product) is the squarefree product of the
     stage's primes that divide n.  Trial division of g while p*p <= g leaves
@@ -301,7 +293,7 @@ def _trial_factorize(n: int, stages: tuple[tuple[tuple[int, ...], int, int], ...
         rho: dict[int, int] = {}
         _factor_into(n, rho)
         found += sorted(rho.items())
-    return PrimeFactorization._of(tuple(found))
+    return tuple(found)
 
 
 def largest_prime_factor(n: int) -> int:
@@ -595,7 +587,7 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
             a, b = _prime_over(p, _sqrt_minus_one(p))
             found[a, b] += e
             found[b, a] += e
-    for p, e in _factorize_norm(x * x + y * y).factors:
+    for p, e in _factorize_norm(x * x + y * y):
         found[(1, 1) if p == 2 else _prime_over(p, x * pow(y, -1, p))] += e
     factors = sorted(((GaussianInt(a, b), e) for (a, b), e in found.items()), key=lambda fe: (fe[0].norm(), fe[0].im))
     product = reduce(lambda acc, fe: acc * fe[0] ** fe[1], factors, GaussianInt(1, 0))

@@ -28,7 +28,7 @@ a hidden 2*pi*m shows as 8*m on t_1.  No float decides a verdict, and no
 factoring, primality test or table does; its cost does not grow with the
 coefficients.  The Gaussian product itself is multiplied out only as a
 certificate to print (:func:`identity_certificate`).
-The flattening of a + bi to e +- i through a*d + b*c = +-1 is kept as
+The flattening of a + bi to e + i through a*d + b*c = 1 is kept as
 :func:`flatten`.
 """
 
@@ -77,6 +77,8 @@ class ArcTerm:
     im: int
 
     def __post_init__(self) -> None:
+        if type(self.re) is bool or type(self.im) is bool:
+            raise TypeError(f"arc term parts must be integers, not bool: {self.re!r}, {self.im!r}")
         if self.re < 1 or self.im < 1:
             raise ValueError(f"arc term must have re >= 1 and im >= 1, got {self.re}+{self.im}i")
         if math.gcd(self.re, self.im) != 1:
@@ -84,16 +86,8 @@ class ArcTerm:
 
     @staticmethod
     def integer(n: int) -> "ArcTerm":
-        """t_n; an int n + i needs only n >= 1, as im = 1 is coprime to it.
-        Any other n gets the checks of ArcTerm(n, 1)."""
-        if type(n) is not int:
-            return ArcTerm(n, 1)
-        if n < 1:
-            raise ValueError(f"arc term must have re >= 1 and im >= 1, got {n}+1i")
-        term = object.__new__(ArcTerm)
-        _set_re(term, n)
-        _set_im(term, 1)
-        return term
+        """t_n, the term n + i, with the checks of ArcTerm(n, 1)."""
+        return ArcTerm(n, 1)
 
     @staticmethod
     def of(re: int, im: int) -> "ArcTerm":
@@ -116,12 +110,6 @@ class ArcTerm:
 
     def __str__(self) -> str:
         return f"t{self.re}" if self.im == 1 else f"t{self.re}/{self.im}"
-
-
-# The slots' own setters: ArcTerm.integer writes through them, past the
-# frozen __setattr__ and __post_init__.
-_set_re = ArcTerm.re.__set__
-_set_im = ArcTerm.im.__set__
 
 
 def _sort_key(item: tuple[ArcTerm, int]) -> int | Fraction:
@@ -384,13 +372,13 @@ def _formula_multiple(formula: GregoryCombo) -> int:
 
 @dataclass(frozen=True)
 class FlattenResult:
-    """Outcome of flattening a + bi to a form e +- i.
+    """Outcome of flattening a + bi to a form e + i.
 
     ``multipliers[0]`` flattens the input (input * multipliers[0] equals
     ``flats[0]``, which is ``w``); each later multiplier flattens its
-    predecessor (multipliers[k] * multipliers[k+1] = flats[k+1]).  The chain
-    stops once a multiplier is a unit or is itself of the form x +- i up to
-    a unit.
+    predecessor (multipliers[k] * multipliers[k+1] = flats[k+1]).  Every
+    flat has imaginary part 1.  The chain stops once a multiplier is a unit
+    or is itself of the form x +- i up to a unit.
     """
 
     w: GaussianInt
@@ -398,49 +386,36 @@ class FlattenResult:
     flats: tuple[GaussianInt, ...]
 
 
-def _is_flat_class(z: GaussianInt) -> bool:
-    """True if some associate of z has imaginary part +-1 (form x +- i)."""
-    return min(abs(z.re), abs(z.im)) == 1 or (abs(z.re) == 1 and z.im == 0) or (abs(z.im) == 1 and z.re == 0)
-
-
 def _flatten_step(a: int, b: int) -> tuple[GaussianInt, GaussianInt]:
     """One flattening step for z = a + bi with gcd(a, b) = 1, b != 0.
 
-    Solves a*d + b*c = +-1 and returns (m, w) with m = c + di of minimal
-    norm and w = z*m of the form e +- i.  Solutions form the line
-    (c, d) = (c0 + a*t, d0 - b*t); the minimum over t is checked on both
-    right-hand sides, preferring +1, then d in {1, -1}, then smaller |d|,
-    then c > 0.
+    Returns (m, w) with m = c + di the solution of a*d + b*c = 1 of least
+    norm and w = z*m = e + i.  With u*a + v*b = 1 the solutions are
+    (c, d) = (v + a*t, u - b*t), whose norm is least at the real
+    t* = (u*b - v*a)/(a**2 + b**2); of t = floor(t*) and t + 1, the one of
+    smaller norm is taken.  The two tie only when t* is a half-integer,
+    which needs a**2 + b**2 = 2, and both are then units: the one with
+    d in {1, -1} is taken.  The solutions of a*d + b*c = -1 are these
+    negated, of the same norms, so they never give a smaller multiplier.
     """
     _, u, v = arith.extended_gcd(a, b)
-    n = a * a + b * b
-    candidates: list[tuple[int, int, int, int]] = []
-    for delta in (1, -1):
-        c0, d0 = v * delta, u * delta
-        t_star = Fraction(d0 * b - c0 * a, n)
-        for t in {math.floor(t_star), math.ceil(t_star)}:
-            c, d = c0 + a * t, d0 - b * t
-            candidates.append((c * c + d * d, 0 if delta == 1 else 1, c, d))
-    best_norm = min(cand[0] for cand in candidates)
-    pool = [cand for cand in candidates if cand[0] == best_norm]
-    pool.sort(key=lambda cand: (cand[1], 0 if cand[3] in (1, -1) else 1, abs(cand[3]), cand[2] <= 0))
-    _, _, c, d = pool[0]
+    t = (u * b - v * a) // (a * a + b * b)
+    solutions = ((v + a * k, u - b * k) for k in (t, t + 1))
+    c, d = min(solutions, key=lambda cd: (cd[0] * cd[0] + cd[1] * cd[1], cd[1] not in (1, -1)))
     m = GaussianInt(c, d)
-    w = GaussianInt(a, b) * m
-    if abs(w.im) != 1:
-        raise ArithmeticError(f"flattening {GaussianInt(a, b)} by {m} gave {w}, not of the form e +- i")
-    return m, w
+    return m, GaussianInt(a, b) * m
 
 
 def flatten(z: GaussianInt) -> FlattenResult:
-    """Flatten a canonical Gaussian integer to the form e +- i.
+    """Flatten a canonical Gaussian integer to the form e + i.
 
     ``z`` must satisfy gcd(re, im) = 1, re > 0, |im| != 1 and norm > 2.
-    Each step solves the Diophantine equation a*d + b*c = +-1 for the
+    Each step solves the Diophantine equation a*d + b*c = 1 for the
     minimal-norm multiplier c + di; the step repeats on the multiplier while
-    it is neither a unit nor of the form x +- i up to a unit.  Norms of the
-    successive multipliers strictly decrease, which bounds the chain length;
-    a failure of that invariant raises ArithmeticError.
+    neither of its parts is +-1, that is, while it is neither a unit nor of
+    the form x +- i up to a unit.  Norms of the successive multipliers
+    strictly decrease, which bounds the chain length; a failure of that
+    invariant raises ArithmeticError.
     """
     if z.is_zero() or math.gcd(abs(z.re), abs(z.im)) != 1:
         raise ValueError(f"{z} is not in canonical form (content must be 1)")
@@ -459,7 +434,7 @@ def flatten(z: GaussianInt) -> FlattenResult:
             raise ArithmeticError(f"flattening failed to reduce the norm at {cur} (multiplier {m})")
         multipliers.append(m)
         flats.append(w)
-        if m.is_unit() or _is_flat_class(m):
+        if 1 in (abs(m.re), abs(m.im)):
             break
         cur = m
     return FlattenResult(flats[0], tuple(multipliers), tuple(flats))
@@ -559,7 +534,7 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
         arg = {s: 1}
         m = (s * s + 1) // p
         if m != 1:
-            others, powers = _factor_args(s, 1, arith._factorize_norm(m).factors, _prime_entry)
+            others, powers = _factor_args(s, 1, arith._factorize_norm(m), _prime_entry)
             powers.append((a, b, 1))
             _add(arg, others, -1)
             arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
@@ -582,11 +557,11 @@ def decompose(n: int) -> GregoryCombo:
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
-    norm = arith._factorize_norm(n * n + 1)
-    if norm.factors[-1][0] >= _threshold(n, _INCLUSIVE):
+    factors = arith._factorize_norm(n * n + 1)
+    if factors[-1][0] >= _threshold(n, _INCLUSIVE):
         return GregoryCombo._canonical({ArcTerm.integer(n): 1})
     with _memo_lock:
-        vector = _vector(n, 1, norm.factors, _prime_entry)
+        vector = _vector(n, 1, factors, _prime_entry)
     powers = [(n, 1, 1)] + [(s, -1, c) if c > 0 else (s, 1, -c) for s, c in vector.items()]
     q, _, im = _turns(powers)
     if q or im:

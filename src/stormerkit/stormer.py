@@ -75,7 +75,7 @@ def is_stormer(x0: int, convention: Convention = Convention.STRICT) -> StormerVe
     """Decide whether x0 is a Stormer number under the given convention."""
     if x0 <= 0:
         raise ValueError(f"expected a positive integer, got {x0}")
-    p_m = arith._factorize_norm(x0 * x0 + 1).largest_prime()
+    p_m = arith._factorize_norm(x0 * x0 + 1)[-1][0]
     hit = p_m >= _threshold(x0, convention)
     return StormerVerdict(x0, hit, p_m if hit else None, p_m, convention)
 

@@ -242,7 +242,7 @@ def test_factorize_semiprime_near_rho_range() -> None:
 @example(239)
 def test_factorize_norm_of_x_squared_plus_one_matches_sympy(x: int) -> None:
     n = x * x + 1
-    assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
+    assert dict(arith._factorize_norm(n)) == sympy.factorint(n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -250,7 +250,7 @@ def test_factorize_norm_of_x_squared_plus_one_matches_sympy(x: int) -> None:
 def test_factorize_norm_of_coprime_squares_matches_sympy(a: int, b: int) -> None:
     g = math.gcd(a, b)
     n = (a // g) ** 2 + (b // g) ** 2
-    assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
+    assert dict(arith._factorize_norm(n)) == sympy.factorint(n)
 
 
 # The trial stage takes g = gcd(n, product of the trial primes), splits g and
@@ -315,25 +315,30 @@ def test_factorize_of_trial_prime_products_matches_sympy(n: int) -> None:
 @example(997**2 * 1009)
 @example(1000033)  # a prime == 1 (mod 4) just above 10**6
 def test_factorize_norm_of_gaussian_products_matches_sympy(n: int) -> None:
-    assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n)
+    assert dict(arith._factorize_norm(n)) == sympy.factorint(n)
+
+
+def _factorize_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n)'s pairs, as _factorize_norm returns them."""
+    return factorize(n).factors
 
 
 @pytest.mark.parametrize(
-    "primes, factor", [(_NEAR_LIMIT, factorize), (_NEAR_LIMIT_NORM, arith._factorize_norm)], ids=["all", "norm"]
+    "primes, factor", [(_NEAR_LIMIT, _factorize_pairs), (_NEAR_LIMIT_NORM, arith._factorize_norm)], ids=["all", "norm"]
 )
 def test_trial_stage_finds_each_prime_to_its_power(primes: list[int], factor) -> None:
     # A trial prime missing from the gcd leaves its square, below
     # _TRIAL_LIMIT**2, to the cofactor rule, which would call it prime.  In
     # p**2 * q**3 for neighbours p < q, q is the prime g leaves over.
     for p, q in zip(primes, primes[1:]):
-        assert factor(p**2).factors == ((p, 2),), p
-        assert factor(p**2 * q**3).factors == ((p, 2), (q, 3)), (p, q)
+        assert factor(p**2) == ((p, 2),), p
+        assert factor(p**2 * q**3) == ((p, 2), (q, 3)), (p, q)
 
 
 def test_factorize_norm_of_x_squared_plus_one_to_2e4() -> None:
     for x in range(1, 20001):
         n = x * x + 1
-        assert dict(arith._factorize_norm(n).factors) == sympy.factorint(n), x
+        assert dict(arith._factorize_norm(n)) == sympy.factorint(n), x
 
 
 def test_norms_of_x_squared_plus_one_to_1e4_need_no_miller_rabin_or_rho(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -348,7 +353,7 @@ def test_norms_of_x_squared_plus_one_to_1e4_need_no_miller_rabin_or_rho(monkeypa
         arith._factorize_norm(x * x + 1)
     assert calls == []
     # A cofactor past 1e8 still takes Miller-Rabin and then rho.
-    assert arith._factorize_norm(10009**2).factors == ((10009, 2),)
+    assert arith._factorize_norm(10009**2) == ((10009, 2),)
     assert set(calls) == {"_miller_rabin", "_brent_rho"}
 
 
@@ -373,13 +378,14 @@ def test_norms_of_x_squared_plus_one_to_1e4_need_no_miller_rabin_or_rho(monkeypa
     2 * 1009 * 100000037,
     9973 * 100000037,
 ])
-@pytest.mark.parametrize("factor", [factorize, arith._factorize_norm], ids=["all", "norm"])
+@pytest.mark.parametrize("factor", [_factorize_pairs, arith._factorize_norm], ids=["all", "norm"])
 def test_factorize_at_the_norm_stage_boundaries_matches_sympy(factor, n: int) -> None:
-    assert dict(factor(n).factors) == sympy.factorint(n)
+    assert dict(factor(n)) == sympy.factorint(n)
 
 
 # The pairs come out in the order they are found, with no sort but of the
-# primes rho finds: largest_prime() reads the last one.  Draws take small
+# primes rho finds: largest_prime(), and every reader of _factorize_norm,
+# reads the last one.  Draws take small
 # prime powers times primes just past 1e4, and 2 at most once, so that two or
 # more of the large ones leave a composite cofactor past both trial bounds,
 # 1e6 and 1e8, and reach rho.
@@ -394,12 +400,12 @@ def _products_past_the_stages(draw: st.DrawFn, small: list[int], large: list[int
     return math.prod(p**e for p, e in powers.items()) * draw(st.sampled_from((1, 2)))
 
 
-def _assert_ascending_primes(n: int, f: arith.PrimeFactorization) -> None:
-    primes = [p for p, _ in f.factors]
-    assert all(p < q for p, q in zip(primes, primes[1:])), f.factors
-    assert all(sympy.isprime(p) and e >= 1 for p, e in f.factors), f.factors
-    assert math.prod(p**e for p, e in f.factors) == n
-    assert f.largest_prime() == max(primes, default=1)
+def _assert_ascending_primes(n: int, factors: tuple[tuple[int, int], ...], largest: int) -> None:
+    primes = [p for p, _ in factors]
+    assert all(p < q for p, q in zip(primes, primes[1:])), factors
+    assert all(sympy.isprime(p) and e >= 1 for p, e in factors), factors
+    assert math.prod(p**e for p, e in factors) == n
+    assert largest == max(primes, default=1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,7 +416,8 @@ def _assert_ascending_primes(n: int, f: arith.PrimeFactorization) -> None:
 @example(2**3 * 3 * 997**2 * 10037 * 10039 * 10061)
 @example(997 * 999983 * 1000003)
 def test_factorize_gives_ascending_primes(n: int) -> None:
-    _assert_ascending_primes(n, factorize(n))
+    f = factorize(n)
+    _assert_ascending_primes(n, f.factors, f.largest_prime())
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,7 +428,8 @@ def test_factorize_gives_ascending_primes(n: int) -> None:
 @example(5**2 * 9973 * 10037**2 * 10061 * 10069)
 @example(2 * 1009 * 99999989 * 100000037)
 def test_factorize_norm_gives_ascending_primes(n: int) -> None:
-    _assert_ascending_primes(n, arith._factorize_norm(n))
+    factors = arith._factorize_norm(n)
+    _assert_ascending_primes(n, factors, factors[-1][0] if factors else 1)
 
 
 def test_prime_factorization_is_a_slotted_frozen_value() -> None:

@@ -106,6 +106,7 @@ def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> N
     runs = _runs([100.0, 104.0, 96.0], [125.0, 120.0, 95.0])
     for run in runs:
         run.update(workload="gregory-exact", commit=f"{run['side']}-sha", nproc=2, python="3.11.7")
+        run["code_lines"] = {"parent": 1371, "change": 1346}[run["side"]]
     runs[2]["seed"] = runs[3]["seed"] = 102
     log, out = tmp_path / "runs.jsonl", tmp_path / "summary.json"
     log.write_text("".join(json.dumps(run) + "\n" for run in runs))
@@ -116,6 +117,7 @@ def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> N
         "seeds": [101, 102],
         "pairs": 3,
         "commits": {"parent": "parent-sha", "change": "change-sha"},
+        "code_lines": {"parent": 1371, "change": 1346},
         "nproc": 2,
         "python": "3.11.7",
         "summary": bench_pairs.summarize(runs, bench_pairs.directions()),
@@ -124,10 +126,29 @@ def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> N
     # The per-run values stay in the log: the summary's only lists are
     # pairs of quartiles.
     assert all(len(values) == 2 for values in _lists(record["summary"]))
+    text, _ = bench_pairs.report(runs, bench_pairs.directions())
+    assert text.splitlines()[-1] == "code lines: parent 1371  change 1346"
 
 
 def test_json_record_of_a_log_without_context_leaves_it_empty() -> None:
     record = bench_pairs.record(_runs([100.0], [101.0]), _BETTER)
-    assert record["commits"] == {"parent": None, "change": None}
+    assert record["commits"] == record["code_lines"] == {"parent": None, "change": None}
+    text, _ = bench_pairs.report(_runs([100.0], [101.0]), _BETTER)
+    assert text.splitlines()[-1] == "code lines: parent None  change None"
     assert record["workload"] is record["nproc"] is record["python"] is None
     assert (record["seeds"], record["pairs"]) == ([101], 1)
+
+
+def test_code_line_total_counts_a_tree_with_this_checkouts_tool(tmp_path: Path) -> None:
+    package = tmp_path / "src" / "stormerkit"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Docstring."""\n\n# comment\nimport os\n')
+    (package / "b.py").write_text("x = 1\ny = 2\n")
+    (package / "notes.txt").write_text("not counted\n")
+    assert bench_pairs.code_line_total(tmp_path) == 3
+    spec = importlib.util.spec_from_file_location("code_lines", _TOOL.with_name("code_lines.py"))
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    root = _TOOL.parents[1]
+    src = sorted((root / "src" / "stormerkit").glob("*.py"))
+    assert bench_pairs.code_line_total(root) == sum(code_lines.code_lines(path.read_text()) for path in src)

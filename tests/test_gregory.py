@@ -65,8 +65,7 @@ def test_arcterm_canonicalization() -> None:
 
 @pytest.mark.parametrize("n", [1, 2, 2**31, 2**64 + 1])
 def test_integer_term_is_the_checked_term(n: int) -> None:
-    # ArcTerm.integer skips the content check, which n + i always passes,
-    # and builds the same frozen, slotted value.
+    # ArcTerm.integer(n) is ArcTerm(n, 1): the same frozen, slotted value.
     fast, checked = ArcTerm.integer(n), ArcTerm(n, 1)
     assert type(fast) is ArcTerm and fast == checked and hash(fast) == hash(checked)
     assert repr(fast) == repr(checked) == f"ArcTerm(re={n}, im=1)"
@@ -88,7 +87,7 @@ def test_integer_term_refuses_what_the_checked_term_refuses(n: int) -> None:
 
 @pytest.mark.parametrize("n", [2.5, 13.0, Fraction(5), "5", None])
 def test_integer_term_of_a_non_int_is_the_checked_term(n: object) -> None:
-    # Only an int n skips ArcTerm(n, 1)'s checks; any other n meets them.
+    # ArcTerm.integer(n) meets every check of ArcTerm(n, 1).
     with pytest.raises(TypeError) as checked:
         ArcTerm(n, 1)  # type: ignore[arg-type]
     with pytest.raises(TypeError) as fast:
@@ -99,6 +98,21 @@ def test_integer_term_of_a_non_int_is_the_checked_term(n: object) -> None:
 def test_a_combo_of_integers_refuses_a_float_key() -> None:
     with pytest.raises(TypeError):
         GregoryCombo.of_integers({2.5: 1})  # type: ignore[dict-item]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ArcTerm(True, 1),
+    lambda: ArcTerm(2, True),
+    lambda: ArcTerm(False, 1),
+    lambda: ArcTerm.integer(True),
+    lambda: GregoryCombo.of_integers({True: 1}),
+    lambda: decompose(True),
+], ids=["re", "im", "false", "integer", "of_integers", "decompose"])
+def test_a_bool_is_no_arc_term_part(build) -> None:
+    # A bool is an int to Python, but t_True would print as "tTrue" and
+    # write "re": true to JSON.
+    with pytest.raises(TypeError, match="bool"):
+        build()
 
 
 def test_combo_arithmetic_and_equality() -> None:
@@ -300,8 +314,8 @@ def _stormer_basis_vector(terms: GregoryCombo) -> dict[int, int]:
     total: dict[int, int] = {}
     with gregory._memo_lock:
         for t, c in terms.terms().items():
-            norm = arith._factorize_norm(t.re * t.re + t.im * t.im)
-            for s, x in gregory._vector(t.re, t.im, norm.factors, gregory._prime_entry).items():
+            factors = arith._factorize_norm(t.re * t.re + t.im * t.im)
+            for s, x in gregory._vector(t.re, t.im, factors, gregory._prime_entry).items():
                 total[s] = total.get(s, 0) + c * x
     return {s: x for s, x in total.items() if x}
 
@@ -503,6 +517,40 @@ def test_flatten_step_identities_hold_exactly() -> None:
             assert abs(flat.im) == 1
             assert mult.norm() < cur.norm()  # descent
         assert result.w == result.flats[0]
+
+
+def _flatten_step_with_both_signs(a: int, b: int) -> tuple[GaussianInt, GaussianInt]:
+    """The flattening step as first written: the solutions of
+    a*d + b*c = +-1 nearest the rational minimum t*, rounded both ways, the
+    least norm kept and ties sorted by +1 first, d in {1, -1}, |d| and
+    c > 0."""
+    _, u, v = arith.extended_gcd(a, b)
+    n = a * a + b * b
+    candidates = []
+    for delta in (1, -1):
+        c0, d0 = v * delta, u * delta
+        t_star = Fraction(d0 * b - c0 * a, n)
+        for t in {math.floor(t_star), math.ceil(t_star)}:
+            c, d = c0 + a * t, d0 - b * t
+            candidates.append((c * c + d * d, 0 if delta == 1 else 1, c, d))
+    best = min(cand[0] for cand in candidates)
+    pool = sorted(
+        (cand for cand in candidates if cand[0] == best),
+        key=lambda cand: (cand[1], 0 if cand[3] in (1, -1) else 1, abs(cand[3]), cand[2] <= 0),
+    )
+    _, _, c, d = pool[0]
+    return GaussianInt(c, d), GaussianInt(a, b) * GaussianInt(c, d)
+
+
+def test_flatten_step_equals_the_rule_with_both_signs() -> None:
+    # Every coprime a, b with |a|, |b| <= 60 and b != 0, a <= 0 included: a
+    # multiplier the chain flattens next can have re <= 0.
+    pairs = [(a, b) for a in range(-60, 61) for b in range(-60, 61) if b and math.gcd(a, b) == 1]
+    assert len(pairs) == 8814
+    for a, b in pairs:
+        m, w = gregory._flatten_step(a, b)
+        assert (m, w) == _flatten_step_with_both_signs(a, b), (a, b)
+        assert w.im == 1, (a, b)
 
 
 def test_flatten_rejects_non_canonical() -> None:

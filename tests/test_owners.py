@@ -10,7 +10,8 @@ and the one division of big values that pi's digits pass through,
 re-checking it, and A(p) is built from the factors of (S(p)**2 + 1)/p.  The
 x**2 + 1 sieve holds one block of x at a time and carries every prime
 == 1 (mod 4) by one path, the per-block buckets, and the CLI writes its
-output in one function."""
+output in one function.  Values are built by their constructors, not
+through slot setters."""
 
 from __future__ import annotations
 
@@ -137,6 +138,23 @@ def test_decompose_returns_through_the_private_constructor() -> None:
     assert [[ast.unparse(arg) for arg in c.args] for c in built] == [["n"]]
     (stormer_branch,) = [node for node in ast.walk(func) if isinstance(node, ast.If) and "_threshold" in _names(node.test)]
     assert any(c is built[0] for stmt in stormer_branch.body for c in ast.walk(stmt))
+
+
+def test_values_are_built_by_their_constructors() -> None:
+    # No module writes a slot through its __set__ or allocates a value with
+    # object.__new__, past the checks of a dataclass's __init__.  The one
+    # __new__ call left is GregoryCombo._canonical's, which takes an
+    # already canonical dict as it is.
+    setters, allocations = [], []
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "__set__":
+                setters.append(f"{path.name}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__":
+                allocations.append(f"{path.name}: {ast.unparse(node)}")
+    assert setters == []
+    assert allocations == ["gregory.py: cls.__new__(cls)"]
+    assert "__new__" in _names(_function(Path(stormerkit.__file__).parent / "gregory.py", "_canonical"))
 
 
 def test_prime_entry_factors_the_cofactor_not_s_squared_plus_one() -> None:

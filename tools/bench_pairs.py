@@ -25,9 +25,12 @@ the parent's interquartile range.  The exit status is 1 if any run did not
 report ``correct: true``.  ``--log`` writes one JSON line per run, and
 ``--replay`` summarizes such a log again without running anything.
 ``--json`` writes the summary as one JSON object: the rows, the workload,
-the seeds, the pair count, both revisions resolved to commits, and the
-host's processor count and Python version, all read from the runs; it
-holds no per-run numbers.
+the seeds, the pair count, both revisions resolved to commits, each side's
+code-line total, and the host's processor count and Python version, all
+read from the runs; it holds no per-run numbers.  The code-line totals are
+counted in each worktree's ``src/stormerkit`` by this checkout's
+``tools/code_lines.py``, and the text summary gives them after its rows;
+a log that predates them gives None.
 
 Only the standard library and git are used.  The tool reads ``perfbench/``
 and ``BENCHMARK.json`` and changes neither.
@@ -119,8 +122,14 @@ def report(runs: list[dict], better: dict[str, str]) -> tuple[str, int]:
             f"[{row['change_quartiles'][0]:.6g}, {row['change_quartiles'][1]:.6g}]  gain {row['gain_pct']:+.1f}%  "
             f"wins {row['change_wins']}/{row['pairs']}  beyond parent IQR: {'yes' if row['gain_exceeds_parent_iqr'] else 'no'}"
         )
+    lines.append("code lines: " + "  ".join(f"{side} {total}" for side, total in per_side(runs, "code_lines").items()))
     lines += [f"not correct: {w}" for w in wrong]
     return "\n".join(lines), 1 if wrong else 0
+
+
+def per_side(runs: list[dict], key: str) -> dict[str, object]:
+    """side -> the value of ``key`` in that side's first run, or None."""
+    return {side: next((r.get(key) for r in runs if r["side"] == side), None) for side in SIDES}
 
 
 def record(runs: list[dict], better: dict[str, str]) -> dict:
@@ -132,11 +141,21 @@ def record(runs: list[dict], better: dict[str, str]) -> dict:
         "workload": first.get("workload"),
         "seeds": list(dict.fromkeys(run["seed"] for run in runs)),
         "pairs": len({run["pair"] for run in runs}),
-        "commits": {side: next((r.get("commit") for r in runs if r["side"] == side), None) for side in SIDES},
+        "commits": per_side(runs, "commit"),
+        "code_lines": per_side(runs, "code_lines"),
         "nproc": first.get("nproc"),
         "python": first.get("python"),
         "summary": summarize(runs, better),
     }
+
+
+def code_line_total(tree: Path) -> int:
+    """The code lines of ``tree``'s src/stormerkit, by this checkout's
+    tools/code_lines.py, whose last line is "total N"."""
+    tool = Path(__file__).with_name("code_lines.py")
+    done = subprocess.run([sys.executable, str(tool), str(tree / "src" / "stormerkit")],
+                          check=True, capture_output=True, text=True)
+    return int(done.stdout.split()[-1])
 
 
 def _git(*args: str) -> str:
@@ -157,6 +176,7 @@ def run_pairs(args: argparse.Namespace, log) -> list[dict]:
     try:
         for side in SIDES:
             _git("worktree", "add", "--detach", str(trees[side]), commits[side])
+        lines = {side: code_line_total(trees[side]) for side in SIDES}
         for pair in range(args.pairs):
             seed = args.seeds[pair % len(args.seeds)]
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -168,7 +188,7 @@ def run_pairs(args: argparse.Namespace, log) -> list[dict]:
                 except ValueError:
                     result = {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
                 run = {"pair": pair, "side": side, "seed": seed, "workload": args.workload, "commit": commits[side],
-                       **host, "result": result}
+                       "code_lines": lines[side], **host, "result": result}
                 runs.append(run)
                 log.write(json.dumps(run) + "\n")
                 log.flush()
