@@ -267,6 +267,11 @@ def gregory_decompose(n: int) -> tuple:
     return {**combo.to_json(), "n": n}, lambda: f"t{n} = {combo}"
 
 
+# A certificate part of more digits than CPython's default int print limit
+# is printed as its powers, whatever PYTHONINTMAXSTRDIGITS says.
+_PRINT_DIGITS = 4300
+
+
 @gregory_group.command("verify")
 @click.argument("identity")
 @_formatted
@@ -281,19 +286,21 @@ def gregory_verify(identity: str) -> tuple:
         raise click.UsageError(str(exc))
     valid = gregory.verify_identity(lhs, rhs)
     powers = gregory._powers(lhs - rhs)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         # A product of norm 2**bits has max(|re|, |im|) >= 2**((bits - 1)/2),
-        # which is >= 10**limit once bits > 7*limit: str() would refuse it,
-        # so it is not built.
-        if limit and sum(e * ((a * a + b * b).bit_length() - 1) for a, b, e in powers) > 7 * limit:
+        # which is >= 10**_PRINT_DIGITS once bits > 7*_PRINT_DIGITS, so it is
+        # not built.
+        if sum(e * ((a * a + b * b).bit_length() - 1) for a, b, e in powers) > 7 * _PRINT_DIGITS:
             raise ValueError
         certificate = gregory.identity_certificate(lhs, rhs)
+        if max(abs(certificate.re), abs(certificate.im)) >= 10**_PRINT_DIGITS:
+            raise ValueError
         shown = str(certificate)
         printed = {"re": certificate.re, "im": certificate.im}
     except ValueError:
-        # str() refuses ints longer than the interpreter's limit, and so does
-        # json: print the certificate as the product of its term powers instead.
+        # Too long to print, or longer than a lower limit of the interpreter,
+        # which str() and json enforce: print the certificate as the product
+        # of its term powers instead.
         shown = " * ".join(f"({GaussianInt(a, b)})^{e}" for a, b, e in powers)
         printed = {"powers": powers}
     payload = {"identity": identity, "valid": valid, "certificate": printed}

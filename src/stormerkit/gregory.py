@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import math
 import re as _re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import arith
@@ -442,16 +442,8 @@ def flatten(z: GaussianInt) -> FlattenResult:
 
 # --- the decomposition engine ----------------------------------------------
 
-_memo_lock = threading.Lock()
 # decompose's convention, read once rather than as an enum attribute per call.
 _INCLUSIVE = Convention.INCLUSIVE
-# The only state of the engine, grown by the primes met and never by n:
-# p == 1 (mod 4) -> (a, b, A(p)), a + bi the first-quadrant Gaussian prime
-# dividing S(p) + i and A(p) its argument over the Stormer basis.
-_prime_memo: dict[int, tuple[int, int, dict[int, int]]] = {}
-# s -> t_s as an ArcTerm for the terms that recur in results: t_1 and the
-# t_S(p) of _prime_memo's entries, added with them.
-_basis_terms: dict[int, ArcTerm] = {1: ArcTerm.integer(1)}
 
 
 def _add(dst: dict[int, int], src: Mapping[int, int], scale: int) -> None:
@@ -507,14 +499,14 @@ def _vector(a: int, b: int, factors: Iterable[tuple[int, int]], entry: _Entry) -
 
     a + bi is, up to a unit, the product of its Gaussian parts
     (:func:`_factor_args`): with q the quarter turns of that product, the
-    argument is theirs less 2*q*t_1.  With :func:`_prime_entry` it fills
-    _prime_memo, so the caller holds _memo_lock.
+    argument is theirs less 2*q*t_1.
     """
     combo, powers = _factor_args(a, b, factors, entry)
     combo[1] = combo.get(1, 0) - 2 * _turns(powers)[0]
     return {s: c for s, c in combo.items() if c}
 
 
+@cache
 def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
     """(a, b, A(p)) for a prime p == 1 (mod 4) with S(p) = s: pi_p = a + bi
     is the first-quadrant Gaussian prime dividing s + i, read by
@@ -527,20 +519,26 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
     pi_p.  The quarter turns k of pi_p times the Gaussian primes over m
     (:func:`_factor_args`) put their product at i**k * (s + i), so A(p) is
     t_s less the other primes' arguments plus 2*k*t_1.
+
+    A pure function of (p, s) whose cache is the A(p) table, the engine's
+    only memory: it grows by the primes met, never by n.  Two threads that
+    meet a new p at once may both build its entry, of equal value.  The
+    returned A(p) is shared, and no caller changes it.
     """
-    entry = _prime_memo.get(p)
-    if entry is None:
-        a, b = arith._prime_over(p, s)
-        arg = {s: 1}
-        m = (s * s + 1) // p
-        if m != 1:
-            others, powers = _factor_args(s, 1, arith._factorize_norm(m), _prime_entry)
-            powers.append((a, b, 1))
-            _add(arg, others, -1)
-            arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
-        _basis_terms[s] = ArcTerm.integer(s)
-        entry = _prime_memo[p] = (a, b, arg)
-    return entry
+    a, b = arith._prime_over(p, s)
+    arg = {s: 1}
+    m = (s * s + 1) // p
+    if m != 1:
+        others, powers = _factor_args(s, 1, arith._factorize_norm(m), _prime_entry)
+        powers.append((a, b, 1))
+        _add(arg, others, -1)
+        arg[1] = arg.get(1, 0) + 2 * _turns(powers)[0]
+    return a, b, arg
+
+
+# t_s for the s of decompose's results, t_1 and the S(p) of the table's
+# entries, built once each.
+_basis_term = cache(ArcTerm.integer)
 
 
 def decompose(n: int) -> GregoryCombo:
@@ -553,20 +551,21 @@ def decompose(n: int) -> GregoryCombo:
     quarter turns of that product (:func:`_vector`).  Each A(p) is a
     combination of t_s with s Stormer and s <= (p - 1)/2 < n.  That sum is
     verified exactly, in quarter turns, before it is returned.  Nothing is
-    kept per n: a call adds only the table entries A(p) it meets.
+    kept per n: a call adds to the caches of :func:`_prime_entry` and
+    ``_basis_term`` only the primes it meets and their t_S(p), and it
+    takes no lock.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     factors = arith._factorize_norm(n * n + 1)
     if factors[-1][0] >= _threshold(n, _INCLUSIVE):
         return GregoryCombo._canonical({ArcTerm.integer(n): 1})
-    with _memo_lock:
-        vector = _vector(n, 1, factors, _prime_entry)
+    vector = _vector(n, 1, factors, _prime_entry)
     powers = [(n, 1, 1)] + [(s, -1, c) if c > 0 else (s, 1, -c) for s, c in vector.items()]
     q, _, im = _turns(powers)
     if q or im:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
-    return GregoryCombo._canonical({_basis_terms[s]: c for s, c in vector.items()})
+    return GregoryCombo._canonical({_basis_term(s): c for s, c in vector.items()})
 
 
 def is_irreducible(n: int) -> bool:

@@ -152,3 +152,46 @@ def test_code_line_total_counts_a_tree_with_this_checkouts_tool(tmp_path: Path) 
     root = _TOOL.parents[1]
     src = sorted((root / "src" / "stormerkit").glob("*.py"))
     assert bench_pairs.code_line_total(root) == sum(code_lines.code_lines(path.read_text()) for path in src)
+
+
+def test_each_pair_runs_every_workload_on_both_sides_in_alternating_order() -> None:
+    runs = list(bench_pairs.schedule(3, ["gregory-exact", "pi-digits"], [101, 102]))
+    assert runs == [
+        (0, 101, "gregory-exact", "parent"), (0, 101, "gregory-exact", "change"),
+        (0, 101, "pi-digits", "parent"), (0, 101, "pi-digits", "change"),
+        (1, 102, "gregory-exact", "change"), (1, 102, "gregory-exact", "parent"),
+        (1, 102, "pi-digits", "change"), (1, 102, "pi-digits", "parent"),
+        (2, 101, "gregory-exact", "parent"), (2, 101, "gregory-exact", "change"),
+        (2, 101, "pi-digits", "parent"), (2, 101, "pi-digits", "change"),
+    ]
+    assert bench_pairs.parse_args(["a", "b", "--workload", "gregory-exact,pi-digits"]).workload == [
+        "gregory-exact", "pi-digits"
+    ]
+    assert bench_pairs.parse_args(["a", "b", "--workload", "pi-digits"]).workload == ["pi-digits"]
+
+
+def test_a_two_workload_log_gives_one_summary_per_workload(tmp_path: Path) -> None:
+    gregory, pi = _runs([100.0, 104.0, 96.0], [125.0, 120.0, 95.0]), _runs([10.0, 11.0], [9.0, 12.0], rss=18.0)
+    for workload, runs in (("gregory-exact", gregory), ("pi-digits", pi)):
+        for run in runs:
+            run.update(workload=workload, commit=f"{run['side']}-sha", code_lines=1338, nproc=2, python="3.11.7")
+    # Interleaved as run_pairs writes them: each pair runs both workloads.
+    runs = [run for pair in range(3) for group in (gregory, pi) for run in group if run["pair"] == pair]
+    pi[3]["result"]["correct"] = False
+    log, out = tmp_path / "runs.jsonl", tmp_path / "summary.json"
+    log.write_text("".join(json.dumps(run) + "\n" for run in runs))
+    assert bench_pairs.main(["--replay", str(log), "--json", str(out)]) == 1
+    records = json.loads(out.read_text())
+    better = bench_pairs.directions()
+    assert records == [bench_pairs.record(gregory, better), bench_pairs.record(pi, better)]
+    assert [(r["workload"], r["pairs"], r["summary"][0]["pairs"]) for r in records] == [
+        ("gregory-exact", 3, 3), ("pi-digits", 2, 2)
+    ]
+    assert records[0]["summary"][0]["parent_median"] == 100.0
+    assert records[1]["summary"][0]["parent_median"] == 10.5
+    text, status = bench_pairs.report(runs, better)
+    lines = text.splitlines()
+    assert status == 1
+    assert [line for line in lines if line.endswith(":")] == ["gregory-exact:", "pi-digits:"]
+    assert lines.index("pi-digits:") == 1 + len(records[0]["summary"])
+    assert lines[-2:] == ["code lines: parent 1338  change 1338", "not correct: pi-digits pair 1 change (seed 101)"]

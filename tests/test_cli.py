@@ -237,6 +237,28 @@ def test_gregory_verify_prints_as_the_old_rule_across_the_print_limit(limit: int
     assert forms == {True, False}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gregory_verify_prints_as_at_4300_under_a_lifted_or_higher_limit(fmt: str) -> None:
+    # Near k = 802 the certificate passes 4300 digits, and near k = 941 its
+    # norm passes 2**(7*4300): between the two it is built, and printed as
+    # its powers whatever the interpreter's limit.
+    ks = [1, 801, 802, 803, 850, 940, 941, 2000]
+    saved = sys.get_int_max_str_digits()
+    outputs = {}
+    try:
+        for limit in (4300, 0, 100000):
+            sys.set_int_max_str_digits(limit)
+            outputs[limit] = [
+                run("gregory", "verify", f"{k}*t1 = {4 * k}*t5 - {k}*t{last}", "--format", fmt).stdout
+                for k in ks
+                for last in (239, 238)
+            ]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert outputs[0] == outputs[100000] == outputs[4300]
+    assert len({"^" in out or "powers" in out for out in outputs[4300]}) == 2
+
+
 def test_pi_command() -> None:
     result = run("pi", "--formula", "machin", "--digits", "30")
     assert result.output.strip().startswith("3.141592653589793238462643383279")

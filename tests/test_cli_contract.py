@@ -198,6 +198,27 @@ def test_pi_digits_under_the_smallest_int_str_limit() -> None:
     assert limited.stdout == default.stdout
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k", [2000, 10**6])
+def test_gregory_verify_prints_the_same_whatever_the_int_str_limit(k: int, fmt: str) -> None:
+    # The certificate is printed as its powers past 4300 digits, CPython's
+    # default limit, also where PYTHONINTMAXSTRDIGITS lifts the limit (0) or
+    # raises it: a lifted limit must neither print the number nor build it.
+    identity = f"{k}*t1 = {4 * k}*t5 - {k}*t239"
+    outputs = set()
+    for limit in (None, "0", "4300", "100000"):
+        env = {**os.environ, "PYTHONPATH": str(_SRC)}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        done = subprocess.run([sys.executable, "-m", "stormerkit.cli", "gregory", "verify", identity, "--format", fmt],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert done.returncode == 0, (limit, done.stderr)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert "^" in outputs.pop() or fmt == "json"
+
+
 # Inputs the library refuses, large enough that the command would announce
 # its work on stderr: the refusal must come first and alone.
 _REFUSED_BEFORE_PROGRESS = [

@@ -9,9 +9,11 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import mpmath
 import pytest
@@ -42,12 +44,29 @@ def combo(coeffs: dict[int, int]) -> GregoryCombo:
     return GregoryCombo.of_integers(coeffs)
 
 
+# The cached A(p) builder itself, whatever a test installs over the module name.
+_PRIME_ENTRY = gregory._prime_entry
+
+
 @pytest.fixture
-def cold_tables(monkeypatch: pytest.MonkeyPatch) -> None:
-    """The decomposition engine from empty tables: no A(p) entry and no
-    basis term but t_1.  The module's own tables come back after the test."""
-    monkeypatch.setattr(gregory, "_prime_memo", {})
-    monkeypatch.setattr(gregory, "_basis_terms", {1: T(1)})
+def cold_tables(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict[int, int]]:
+    """The decomposition engine from empty caches: no A(p) entry and no
+    basis term, emptied again after the test.  Yields p -> S(p) for every
+    prime whose entry is asked for, read by a wrapper over
+    gregory._prime_entry: decompose and the recursion inside _prime_entry
+    both call it through the module name, so its keys are the table's."""
+    met: dict[int, int] = {}
+
+    def entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
+        met[p] = s
+        return _PRIME_ENTRY(p, s)
+
+    _PRIME_ENTRY.cache_clear()
+    gregory._basis_term.cache_clear()
+    monkeypatch.setattr(gregory, "_prime_entry", entry)
+    yield met
+    _PRIME_ENTRY.cache_clear()
+    gregory._basis_term.cache_clear()
 
 
 # --- arc terms and combos -----------------------------------------------------
@@ -283,7 +302,7 @@ def test_verify_identity_matches_mpmath_at_large_coefficients(
     assert verify_identity(lhs, rhs) is expected
 
 
-def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch, cold_tables: None) -> None:
+def test_exact_paths_use_no_float(monkeypatch: pytest.MonkeyPatch, cold_tables: dict[int, int]) -> None:
     # Verification, decomposition and the pi formula check read exact
     # vectors and quarter turns only: every float that could decide them
     # raises here.
@@ -312,11 +331,10 @@ def _stormer_basis_vector(terms: GregoryCombo) -> dict[int, int]:
     prime factors of each norm: the reading verdicts made before they read
     a coprime base, kept here as a reference."""
     total: dict[int, int] = {}
-    with gregory._memo_lock:
-        for t, c in terms.terms().items():
-            factors = arith._factorize_norm(t.re * t.re + t.im * t.im)
-            for s, x in gregory._vector(t.re, t.im, factors, gregory._prime_entry).items():
-                total[s] = total.get(s, 0) + c * x
+    for t, c in terms.terms().items():
+        factors = arith._factorize_norm(t.re * t.re + t.im * t.im)
+        for s, x in gregory._vector(t.re, t.im, factors, gregory._prime_entry).items():
+            total[s] = total.get(s, 0) + c * x
     return {s: x for s, x in total.items() if x}
 
 
@@ -464,8 +482,8 @@ def test_verdicts_factor_nothing_and_leave_the_tables(monkeypatch: pytest.Monkey
 
     for name in ("_factorize_norm", "_trial_factorize", "factorize", "is_prime", "_miller_rabin", "_brent_rho"):
         monkeypatch.setattr(arith, name, spy(name, getattr(arith, name)))
+    caches = _PRIME_ENTRY.cache_info(), gregory._basis_term.cache_info()
     monkeypatch.setattr(gregory, "_prime_entry", spy("_prime_entry", gregory._prime_entry))
-    memo, basis = dict(gregory._prime_memo), dict(gregory._basis_terms)
     for t in terms:
         assert not verify_identity(combo({1: 1}), GregoryCombo.single(t))
         pair = GregoryCombo({t: 3}) + GregoryCombo({ArcTerm(t.im, t.re): 3})
@@ -475,7 +493,7 @@ def test_verdicts_factor_nothing_and_leave_the_tables(monkeypatch: pytest.Monkey
         with pytest.raises(ValueError):
             gregory._formula_multiple(pair + GregoryCombo.single(t))
     assert calls == []
-    assert gregory._prime_memo == memo and gregory._basis_terms == basis
+    assert (_PRIME_ENTRY.cache_info(), gregory._basis_term.cache_info()) == caches
     decompose(70)
     assert "_prime_entry" in calls
 
@@ -656,7 +674,7 @@ def test_decompose_rejects_a_wrong_memo(wrong: dict[int, int], monkeypatch: pyte
         decompose(70)
 
 
-def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch, cold_tables: None) -> None:
+def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch, cold_tables: dict[int, int]) -> None:
     # From cold tables: n**2 + 1 is factored once per decompose call, serving
     # both the Stormer test and the split of n + i, and S(p)**2 + 1 once per
     # table entry whose S(p) + i is not itself prime.  n mod p picks each
@@ -677,14 +695,45 @@ def test_decompose_factors_each_norm_once(monkeypatch: pytest.MonkeyPatch, cold_
     monkeypatch.setattr(gregory, "_flatten_step", forbidden)
     for n in range(1, 1001):
         decompose(n)
-    composite = [p for p in gregory._prime_memo if _naive_min_root(p) ** 2 + 1 != p]
+    composite = [p for p in cold_tables if _naive_min_root(p) ** 2 + 1 != p]
     assert composite
     assert len(calls) == 1000 + len(composite)
 
 
-def test_decompose_keeps_no_state_per_n(cold_tables: None) -> None:
-    # A sweep grows the A(p) table and the basis terms of its entries, and
-    # nothing else: no module-level container gains an entry per n.
+def test_decompose_from_threads_equals_the_serial_results(cold_tables: dict[int, int]) -> None:
+    # Six threads, more than the cores, over overlapping ranges of n from cold
+    # caches, switching as often as the interpreter lets them: a race on a
+    # new A(p) may build it twice, but every result is the serial one.
+    ranges = [range(1 + 1000 * i, 3001 + 1000 * i) for i in range(6)]
+    serial = {n: decompose(n) for n in range(1, 8001)}
+    _PRIME_ENTRY.cache_clear()
+    gregory._basis_term.cache_clear()
+    results: list[list[GregoryCombo]] = [[] for _ in ranges]
+
+    def work(i: int) -> None:
+        results[i] = [decompose(n) for n in ranges[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ranges))]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(thread.is_alive() for thread in threads)
+    for numbers, combos in zip(ranges, results):
+        assert len(combos) == len(numbers)
+        for n, got in zip(numbers, combos):
+            want = serial[n]
+            assert got == want and str(got) == str(want) and got.to_json() == want.to_json(), n
+
+
+def test_decompose_keeps_no_state_per_n(cold_tables: dict[int, int]) -> None:
+    # A sweep grows the caches of the A(p) entries and of their basis terms,
+    # and nothing else: the module holds no dict, list or set to grow.
     def sizes() -> dict[str, int]:
         return {
             name: len(v)
@@ -692,13 +741,13 @@ def test_decompose_keeps_no_state_per_n(cold_tables: None) -> None:
             if not name.startswith("__") and isinstance(v, (dict, list, set))
         }
 
-    before = sizes()
+    assert sizes() == {}
     for n in range(1, 4001):
         decompose(n)
-    grown = {name for name, size in sizes().items() if size != before.get(name)}
-    assert grown == {"_prime_memo", "_basis_terms"}
-    assert len(gregory._basis_terms) <= len(gregory._prime_memo) + 1
-    assert all(arith.is_prime(p) and p % 4 == 1 for p in gregory._prime_memo)
+    assert sizes() == {}
+    assert _PRIME_ENTRY.cache_info().currsize == len(cold_tables) > 0
+    assert gregory._basis_term.cache_info().currsize <= _PRIME_ENTRY.cache_info().currsize + 1
+    assert all(arith.is_prime(p) and p % 4 == 1 for p in cold_tables)
 
 
 def _split_powers(x: int, skip: int = 0) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -709,23 +758,24 @@ def _split_powers(x: int, skip: int = 0) -> tuple[list[tuple[int, int, int]], li
         if q == 2:
             powers.append((1, 1, e))
         elif q != skip:
-            a, b, _ = gregory._prime_memo[q]
+            a, b, _ = _PRIME_ENTRY(q, _naive_min_root(q))
             sign = 1 if x % q == _naive_min_root(q) else -1
             powers.append((a, sign * b, e))
             signs.append(sign)
     return powers, signs
 
 
-def test_prime_table_matches_mpmath(cold_tables: None) -> None:
+def test_prime_table_matches_mpmath(cold_tables: dict[int, int]) -> None:
     # Each entry p -> (a, b, A(p)): a + bi is the first-quadrant prime over p
     # dividing S(p) + i, and A(p) evaluates to its argument.  The sweep
     # 1..3000 picks the conjugate prime as well as pi_p and needs the
     # quarter-turn correction 2*q*t_1 in both the t_n and the A(p) sums, so
     # the golden digest guards each of them.
     vectors = {n: {t.re: c for t, c in decompose(n)} for n in range(1, 3001)}
-    assert {p for p in sympy.primerange(5, 3000) if p % 4 == 1} <= set(gregory._prime_memo)
+    assert {p for p in sympy.primerange(5, 3000) if p % 4 == 1} <= set(cold_tables)
     with mpmath.workdps(50):
-        for p, (a, b, arg) in gregory._prime_memo.items():
+        for p, root in cold_tables.items():
+            a, b, arg = _PRIME_ENTRY(p, root)
             assert a * a + b * b == p and a > 0 and b > 0
             value = mpmath.fsum(c * mpmath.atan(mpmath.mpf(1) / s) for s, c in arg.items())
             assert abs(value - mpmath.atan2(b, a)) < mpmath.mpf(10) ** -40, p
@@ -739,7 +789,8 @@ def test_prime_table_matches_mpmath(cold_tables: None) -> None:
             turned["n"] += q != 0
             for sign in n_signs:
                 signs[sign] += 1
-    for p, (a, b, _) in gregory._prime_memo.items():
+    for p, root in cold_tables.items():
+        a, b, _ = _PRIME_ENTRY(p, root)
         x = _naive_min_root(p)
         if x * x + 1 != p:
             powers, p_signs = _split_powers(x, p)
@@ -752,7 +803,7 @@ def test_prime_table_matches_mpmath(cold_tables: None) -> None:
     assert turned == {"n": 535, "p": 183}
 
 
-def test_prime_entry_factors_only_the_cofactor(monkeypatch: pytest.MonkeyPatch, cold_tables: None) -> None:
+def test_prime_entry_factors_only_the_cofactor(monkeypatch: pytest.MonkeyPatch, cold_tables: dict[int, int]) -> None:
     # From cold tables, every p == 1 (mod 4) below 2*10**4: A(p) is built from
     # the factors of m = (S(p)**2 + 1)/p < p/4, never of a multiple of p.
     calls = []
@@ -772,10 +823,10 @@ def test_prime_entry_factors_only_the_cofactor(monkeypatch: pytest.MonkeyPatch, 
         assert a * a + b * b == p and a > 0 and b > 0
         # (a + bi) divides s + i: (s + i)(a - bi) is p times a Gaussian integer.
         assert (s * a + b) % p == 0 and (a - s * b) % p == 0
-    assert set(gregory._prime_memo) >= set(primes)
+    assert set(cold_tables) >= set(primes)
     with mpmath.workdps(50):
         for p in primes:
-            a, b, arg = gregory._prime_memo[p]
+            a, b, arg = _PRIME_ENTRY(p, cold_tables[p])
             value = mpmath.fsum(c * mpmath.atan(mpmath.mpf(1) / s) for s, c in arg.items())
             assert abs(value - mpmath.atan2(b, a)) < mpmath.mpf(10) ** -40, p
 

@@ -6,8 +6,8 @@ nothing and reads no A(p) table; the
 check that p is a prime == 1 (mod 4) lives in ``arith``, and so do the one
 route from a root of -1 to the Gaussian prime over p, ``arith._prime_over``,
 and the one division of big values that pi's digits pass through,
-``arith._divmod``.  ``decompose`` returns its canonical memo entry without
-re-checking it, and A(p) is built from the factors of (S(p)**2 + 1)/p.  The
+``arith._divmod``.  A(p) is built from the factors of (S(p)**2 + 1)/p by a
+cached pure function, which assigns no module name.  The
 x**2 + 1 sieve holds one block of x at a time and carries every prime
 == 1 (mod 4) by one path, the per-block buckets, and the CLI writes its
 output in one function.  Values are built by their constructors, not
@@ -97,10 +97,10 @@ def test_gaussian_prime_over_p_has_one_route() -> None:
 
 def test_verdicts_name_no_factoring_and_no_table() -> None:
     # A verdict reads gcds and modular inverses only: the factoring stack,
-    # the A(p) entries and the lock on their table serve decompose alone.
+    # the A(p) entries and the cache of their basis terms serve decompose alone.
     gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
     engine = {"_factorize_norm", "_trial_factorize", "factorize", "is_prime", "_prime_entry"}
-    engine |= {"_prime_memo", "_memo_lock"}
+    engine |= {"_basis_term"}
     for name in ("verify_identity", "_formula_multiple", "_combo_vector", "_refine", "_piece"):
         assert not _names(_function(gregory_py, name)) & engine, name
     assert "_prime_entry" in _names(_function(gregory_py, "decompose"))
@@ -167,6 +167,25 @@ def test_prime_entry_factors_the_cofactor_not_s_squared_plus_one() -> None:
         for arg in node.args
     ]
     assert factored and s_squared_plus_one not in factored
+
+
+def test_the_a_p_table_is_a_cache_of_a_pure_function() -> None:
+    # _prime_entry is cached and stores into no module name: no global
+    # statement, and no item or attribute assignment but to its own locals.
+    gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
+    func = _function(gregory_py, "_prime_entry")
+    assert [ast.unparse(node) for node in func.decorator_list] == ["cache"]
+    local = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    local |= {arg.arg for arg in func.args.args}
+    stored = [
+        node.value.id
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+    ]
+    assert not any(isinstance(node, (ast.Global, ast.Nonlocal)) for node in ast.walk(func))
+    assert set(stored) <= local
+    assert not _names(ast.parse(gregory_py.read_text())) & {"_prime_memo", "_basis_terms", "_memo_lock", "threading"}
 
 
 def test_stormer_builds_no_whole_range_table() -> None:

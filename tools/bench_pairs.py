@@ -1,7 +1,7 @@
 """Run the benchmark in alternating pairs on two revisions and compare them.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload NAME [--pairs N]
-        [--seeds 101,102,9001] [--log FILE] [--json FILE]
+    python tools/bench_pairs.py PARENT CHANGE --workload NAME[,NAME...]
+        [--pairs N] [--seeds 101,102,9001] [--log FILE] [--json FILE]
     python tools/bench_pairs.py --replay FILE [--json FILE]
 
 PARENT and CHANGE are any git revisions of this repository.  Each is checked
@@ -11,26 +11,30 @@ same way.  Pair i runs
 
     python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0
 
-once in each checkout, S cycling through the seeds and T being
-``BENCHMARK.json``'s ``run_seconds`` (22).  The parent runs first in even
-pairs and second in odd ones, so a drift in the host's speed falls on both
-sides alike.  ``PYTHONDONTWRITEBYTECODE=1`` is set for every run, so
-neither side reads bytecode that the other side's runs or an older tree left
-behind.  The worktrees are removed at the end.
+once in each checkout for every listed workload NAME, S cycling through the
+seeds and T being ``BENCHMARK.json``'s ``run_seconds`` (22).  For each
+workload the parent runs first in even pairs and second in odd ones, so a
+drift in the host's speed falls on both sides alike.
+``PYTHONDONTWRITEBYTECODE=1`` is set for every run, so neither side reads
+bytecode that the other side's runs or an older tree left behind.  The
+worktrees are removed at the end.
 
-For each end-to-end metric of ``BENCHMARK.json`` the summary gives both
-medians, the quartiles of both sides, the pairs the change wins in the
-metric's better direction, the median gain, and whether that gain exceeds
-the parent's interquartile range.  The exit status is 1 if any run did not
-report ``correct: true``.  ``--log`` writes one JSON line per run, and
-``--replay`` summarizes such a log again without running anything.
-``--json`` writes the summary as one JSON object: the rows, the workload,
-the seeds, the pair count, both revisions resolved to commits, each side's
-code-line total, and the host's processor count and Python version, all
-read from the runs; it holds no per-run numbers.  The code-line totals are
-counted in each worktree's ``src/stormerkit`` by this checkout's
-``tools/code_lines.py``, and the text summary gives them after its rows;
-a log that predates them gives None.
+For each workload and each end-to-end metric of ``BENCHMARK.json`` the
+summary gives both medians, the quartiles of both sides, the pairs the
+change wins in the metric's better direction, the median gain, and whether
+that gain exceeds the parent's interquartile range.  The exit status is 1
+if any run did not report ``correct: true``.  ``--log`` writes one JSON line
+per run, and ``--replay`` summarizes such a log again without running
+anything.  ``--json`` writes the summary of a workload as one JSON object:
+the rows, the workload, the seeds, the pair count, both revisions resolved
+to commits, each side's code-line total, and the host's processor count and
+Python version, all read from the runs; it holds no per-run numbers.  With
+several workloads it writes a list of these objects, in the order given,
+and the text summary heads each workload's rows with its name; with one,
+neither has a list or a heading.  The code-line totals are counted in each
+worktree's ``src/stormerkit`` by this checkout's ``tools/code_lines.py``,
+and the text summary gives them after its rows; a log that predates them
+gives None.
 
 Only the standard library and git are used.  The tool reads ``perfbench/``
 and ``BENCHMARK.json`` and changes neither.
@@ -47,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -110,18 +115,33 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
     return rows
 
 
+def by_workload(runs: list[dict]) -> dict[str | None, list[dict]]:
+    """workload -> its runs, the workloads in the order they first appear;
+    a log that predates the field is the one workload None."""
+    groups: dict[str | None, list[dict]] = {}
+    for run in runs:
+        groups.setdefault(run.get("workload"), []).append(run)
+    return groups
+
+
 def report(runs: list[dict], better: dict[str, str]) -> tuple[str, int]:
     """The summary as text, and the exit status: 1 if a run was not
     correct, 0 otherwise."""
-    wrong = [f"pair {r['pair']} {r['side']} (seed {r['seed']})" for r in runs if r["result"].get("correct") is not True]
-    lines = []
-    for row in summarize(runs, better):
-        lines.append(
+    groups = by_workload(runs)
+    lines, wrong = [], []
+    for workload, group in groups.items():
+        head = f"{workload} " if len(groups) > 1 else ""
+        if head:
+            lines.append(f"{workload}:")
+        wrong += [f"{head}pair {r['pair']} {r['side']} (seed {r['seed']})"
+                  for r in group if r["result"].get("correct") is not True]
+        lines += [
             f"{row['metric']:<12} ({row['better']} is better) parent {row['parent_median']:.6g} "
             f"[{row['parent_quartiles'][0]:.6g}, {row['parent_quartiles'][1]:.6g}]  change {row['change_median']:.6g} "
             f"[{row['change_quartiles'][0]:.6g}, {row['change_quartiles'][1]:.6g}]  gain {row['gain_pct']:+.1f}%  "
             f"wins {row['change_wins']}/{row['pairs']}  beyond parent IQR: {'yes' if row['gain_exceeds_parent_iqr'] else 'no'}"
-        )
+            for row in summarize(group, better)
+        ]
     lines.append("code lines: " + "  ".join(f"{side} {total}" for side, total in per_side(runs, "code_lines").items()))
     lines += [f"not correct: {w}" for w in wrong]
     return "\n".join(lines), 1 if wrong else 0
@@ -162,6 +182,15 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
 
 
+def schedule(pairs: int, workloads: list[str], seeds: list[int]) -> Iterator[tuple[int, int, str, str]]:
+    """(pair, seed, workload, side) of each run, in the order run: every
+    workload on both sides in each pair, the parent first in even pairs."""
+    for pair in range(pairs):
+        for workload in workloads:
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                yield pair, seeds[pair % len(seeds)], workload, side
+
+
 def run_pairs(args: argparse.Namespace, log) -> list[dict]:
     """Run the pairs in two fresh worktrees of PARENT and CHANGE under one
     temporary directory, writing each run to ``log`` as it ends."""
@@ -177,22 +206,21 @@ def run_pairs(args: argparse.Namespace, log) -> list[dict]:
         for side in SIDES:
             _git("worktree", "add", "--detach", str(trees[side]), commits[side])
         lines = {side: code_line_total(trees[side]) for side in SIDES}
-        for pair in range(args.pairs):
-            seed = args.seeds[pair % len(args.seeds)]
-            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
-                       "--seconds", str(seconds), "--trace", "0"]
-                done = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
-                try:
-                    result = result_line(done.stdout)
-                except ValueError:
-                    result = {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
-                run = {"pair": pair, "side": side, "seed": seed, "workload": args.workload, "commit": commits[side],
-                       "code_lines": lines[side], **host, "result": result}
-                runs.append(run)
-                log.write(json.dumps(run) + "\n")
-                log.flush()
-                print(f"pair {pair} {side} seed {seed}: {json.dumps(result.get('metrics', result))}", file=sys.stderr)
+        for pair, seed, workload, side in schedule(args.pairs, args.workload, args.seeds):
+            cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"]
+            done = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
+            try:
+                result = result_line(done.stdout)
+            except ValueError:
+                result = {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
+            run = {"pair": pair, "side": side, "seed": seed, "workload": workload, "commit": commits[side],
+                   "code_lines": lines[side], **host, "result": result}
+            runs.append(run)
+            log.write(json.dumps(run) + "\n")
+            log.flush()
+            print(f"pair {pair} {workload} {side} seed {seed}: {json.dumps(result.get('metrics', result))}",
+                  file=sys.stderr)
     finally:
         for tree in trees.values():
             if tree.exists():
@@ -205,7 +233,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", type=lambda text: text.split(","), help="one or more names, comma-separated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")], default=[101, 102, 9001])
     parser.add_argument("--log", help="write one JSON line per run to this file")
@@ -230,7 +258,8 @@ def main(argv: list[str]) -> int:
     text, status = report(runs, better)
     print(text)
     if args.json:
-        Path(args.json).write_text(json.dumps(record(runs, better), indent=1) + "\n")
+        records = [record(group, better) for group in by_workload(runs).values()]
+        Path(args.json).write_text(json.dumps(records[0] if len(records) == 1 else records, indent=1) + "\n")
     return status
 
 
