@@ -66,32 +66,39 @@ def sieve_primes(limit: int) -> list[int]:
     return list(_primes_between(2, limit))
 
 
-# Integers crossed off at a time by _primes_between.  One segment is one
-# bytearray of this many bytes, which bounds the sieve's memory for any window.
-_SEGMENT = 1 << 20
+# Odd numbers crossed off at a time by _primes_between, one byte each.  A
+# segment spans 2 * _SEGMENT integers in a bytearray of _SEGMENT bytes,
+# 512 KB, which bounds the sieve's memory for any window.
+_SEGMENT = 1 << 19
 
 
 def _primes_between(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes p with lo <= p <= hi in ascending order.
 
-    A segmented sieve of Eratosthenes (Bays & Hudson, 1977): the window is
-    taken _SEGMENT integers at a time, and each segment is crossed off by
-    the primes up to isqrt(hi) from max(p*p, the first multiple of p in the
-    segment).  The generator is lazy, so memory stays bounded for any hi.
+    A segmented sieve of Eratosthenes (Bays & Hudson, 1977) over the odd
+    numbers only, one byte each, after 2 itself: the window is taken
+    2 * _SEGMENT integers at a time from an odd start, and each segment is
+    crossed off by the odd primes up to isqrt(hi) from max(p*p, the first
+    odd multiple of p in the segment), every p-th byte being every 2p-th
+    integer.  The crossed-off bytes are sliced from one zero buffer per
+    call.  The generator is lazy, so memory stays bounded for any hi.
     """
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = list(_primes_between(2, math.isqrt(hi)))
-    for start in range(lo, hi + 1, _SEGMENT):
-        stop = min(start + _SEGMENT, hi + 1)
-        seg = bytearray([1]) * (stop - start)
+    if lo == 2:
+        yield 2
+    base = list(_primes_between(3, math.isqrt(hi)))
+    zeros = memoryview(bytes(min(_SEGMENT, (hi - lo) // 2 + 1)))
+    for start in range(lo | 1, hi + 1, 2 * _SEGMENT):
+        stop = min(start + 2 * _SEGMENT, hi + 1)
+        seg = bytearray([1]) * ((stop - start + 1) // 2)
         for p in base:
             if p * p >= stop:
                 break
-            first = max(p * p, -(-start // p) * p)
-            seg[first - start :: p] = bytes(len(range(first, stop, p)))
-        yield from compress(range(start, stop), seg)
+            first = (max(p * p, (-(-start // p) | 1) * p) - start) // 2
+            seg[first::p] = zeros[: len(range(first, len(seg), p))]
+        yield from compress(range(start, stop, 2), seg)
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:

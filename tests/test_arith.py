@@ -112,24 +112,28 @@ def test_is_prime_matches_sympy_on_randoms() -> None:
 # --- prime sieve ---------------------------------------------------------------
 
 _SEGMENT = arith._SEGMENT
+# Integers per segment: _SEGMENT bytes, one per odd number.
+_SPAN = 2 * _SEGMENT
 
 
 @pytest.mark.parametrize(
     ("lo", "hi"),
-    [(lo, hi) for lo in (0, 1, 2, 3) for hi in (2, 3, 4)]
+    [(lo, hi) for lo in range(5) for hi in range(1, 5)]
     + [(5, 4), (3, 0), (0, -7)]
     # Windows across the segment edges at lo + 2**20 and lo + 2 * 2**20.
     # 2**20 + 7 is prime: a segment one short drops it from the first
     # segment (lo = 8), one too long yields it twice (lo = 7).
-    + [(0, 2 * _SEGMENT + 64), (7, 2 * _SEGMENT + 64), (8, 2 * _SEGMENT + 64), (_SEGMENT - 3, 3 * _SEGMENT)]
-    + [(_SEGMENT - 64, _SEGMENT + 64), (2 * _SEGMENT - 64, 2 * _SEGMENT + 64)],
+    + [(0, 2 * _SPAN + 64), (7, 2 * _SPAN + 64), (8, 2 * _SPAN + 64), (_SPAN - 3, 3 * _SPAN)]
+    + [(_SPAN - 64, _SPAN + 64), (2 * _SPAN - 64, 2 * _SPAN + 64)]
+    # Both ends odd and even, within 2 of a segment edge.
+    + [(_SPAN + d, k * _SPAN + e) for d in range(-2, 3) for k in (1, 2) for e in range(-2, 3)],
 )
 def test_primes_between_matches_sympy(lo: int, hi: int) -> None:
     assert list(arith._primes_between(lo, hi)) == list(sympy.sieve.primerange(lo, hi + 1))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 5000), st.integers(0, 5000), st.sampled_from([2, 7, 64, _SEGMENT]))
+@given(st.integers(0, 5000), st.integers(0, 5000), st.sampled_from([1, 2, 3, 7, 64, _SEGMENT]))
 def test_primes_between_property(a: int, b: int, segment: int) -> None:
     # Short segments put many segment edges inside a small window.
     lo, hi = min(a, b), max(a, b)

@@ -1,8 +1,9 @@
-"""Peak memory of the sieve commands at 10**6 and of a decompose sweep: the
-x**2 + 1 sieve holds one block of x at a time and ``stormer list`` streams
-its values, so neither command grows far past the interpreter that imports
-the CLI; decompose keeps nothing per n, only the A(p) table of the primes
-it meets.
+"""Peak memory of the sieve commands at 10**6, of the density sums and of a
+decompose sweep: the x**2 + 1 sieve holds one block of x at a time and
+``stormer list`` streams its values, so neither command grows far past the
+interpreter that imports the CLI; the prime sieve holds one segment of odd
+numbers and one zero buffer at a time; decompose keeps nothing per n, only
+the A(p) table of the primes it meets.
 
 Each child reads its own peak, VmHWM of its address space, from
 /proc/self/status.  Its ``ru_maxrss`` would not do: Linux carries the
@@ -49,6 +50,17 @@ for n in range(1, 20001):
 print(peak_mb() - base)
 """
 
+# The Mertens gap to 10**7, then the heuristic sum at x0 = 3000, which
+# sieves 6001..9000001, and print the peak over the peak after
+# `from stormerkit import density`.
+_DENSITY_SUMS = _PEAK_MB + """
+from stormerkit import density
+base = peak_mb()
+density.mertens_gap(10**7)
+density.heuristic_probability(3000)
+print(peak_mb() - base)
+"""
+
 
 def _run(code: str, args: list[str] = ()) -> subprocess.CompletedProcess:
     """A child running ``code`` with ``args`` on the source tree's package."""
@@ -80,3 +92,8 @@ def test_sieve_commands_stay_near_the_import_baseline(args: list[str], tmp_path)
 def test_decompose_sweep_stays_near_the_import_baseline() -> None:
     growth = float(_run(_SWEEP).stdout)
     assert growth < 4, growth
+
+
+def test_density_sums_stay_near_the_import_baseline() -> None:
+    growth = float(_run(_DENSITY_SUMS).stdout)
+    assert growth < 2, growth

@@ -232,11 +232,13 @@ def test_series_within_stated_bound(term: ArcTerm, prec: int, cap: int | None) -
 def test_arctan_rounds_the_exact_partial_sum_toward_the_limit() -> None:
     # Up to _LEAF terms are summed exactly, so the result is exactly
     # 10**scale * S_n less half a unit floored (odd n) or plus half a unit
-    # ceiled (even n).  Ties occur, e.g. arctan(1/2) at 0 digits over 1 term.
-    ties = 0
+    # ceiled (even n).  Ties occur, e.g. arctan(1/2) at 0 digits over 1 term,
+    # and at even n, e.g. arctan(3/4) at 5 digits over 2 terms, where
+    # 10**5 * S_2 = 60937.5 rounds to 60938.
+    ties = even_ties = 0
     for a in range(2, 12):
         for b in range(1, a):
-            for scale in range(4):
+            for scale in range(6):
                 partial = Fraction(0)
                 for n in range(1, pidigits._LEAF + 1):
                     k = 2 * n - 1
@@ -244,8 +246,9 @@ def test_arctan_rounds_the_exact_partial_sum_toward_the_limit() -> None:
                     half_up = partial * 10**scale + Fraction(1, 2)
                     expected = math.floor(half_up - 1) if n & 1 else math.ceil(half_up)
                     ties += half_up.denominator == 1
+                    even_ties += half_up.denominator == 1 and not n & 1
                     assert pidigits._arctan(a, b, scale, n) == expected, (a, b, scale, n)
-    assert ties > 0
+    assert ties > 0 and even_ties > 0
 
 
 def test_series_terms_follow_the_floored_chain() -> None:
