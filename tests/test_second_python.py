@@ -14,15 +14,17 @@ _spec.loader.exec_module(second_python)
 
 
 def _dist(site: Path, folder: str, metadata: str, record: list[str]) -> None:
-    info = site / folder
-    info.mkdir()
-    (info / "METADATA").write_text(metadata)
-    (info / "RECORD").write_text("".join(f"{path},,\n" for path in record))
+    """An installed distribution: every file its RECORD lists exists, since
+    Python 3.12 and later leave missing ones out of ``files``."""
+    for path in record:
+        (site / path).parent.mkdir(parents=True, exist_ok=True)
+        (site / path).touch()
+    (site / folder / "METADATA").write_text(metadata)
+    (site / folder / "RECORD").write_text("".join(f"{path},,\n" for path in record))
 
 
 def test_link_set_follows_requirements_outside_extras(tmp_path: Path) -> None:
-    site = tmp_path / "site-packages"
-    site.mkdir()
+    site = tmp_path / "lib" / "site-packages"
     _dist(
         site,
         "alpha-1.0.dist-info",

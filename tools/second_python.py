@@ -1,6 +1,6 @@
 """Run tier-1 under a second interpreter, with this interpreter's test packages.
 
-    python tools/second_python.py PYTHON [PYTEST_ARGS...]
+    python tools/second_python.py PYTHON
 
 PYTHON need not have pytest, hypothesis, sympy or mpmath installed.  The
 running interpreter's copies of them and of everything they require outside
@@ -9,7 +9,7 @@ directory, which goes on PYTHONPATH after ``src``.  PYTHON's own click is
 used when it has one; otherwise the running interpreter's click is linked
 too.  Then
 
-    PYTHON -m pytest -q --continue-on-collection-errors [PYTEST_ARGS...]
+    PYTHON -m pytest -q --continue-on-collection-errors
 
 runs from the repository root with ``PYTHONDONTWRITEBYTECODE=1``, so that
 PYTHON writes no bytecode into the linked packages, and the tool exits with
@@ -59,10 +59,12 @@ def link_set(names: list[str], path: list[str]) -> dict[str, Path]:
     links, seen, todo = {}, set(), list(names)
     while todo:
         name = _key(todo.pop())
-        dist = next(metadata.distributions(name=name, path=path), None)
-        if name in seen or dist is None:
+        if name in seen:
             continue
         seen.add(name)
+        dist = next(metadata.distributions(name=name, path=path), None)
+        if dist is None:
+            continue
         site = Path(dist.locate_file(""))
         for top in {file.parts[0] for file in dist.files or ()}:
             if top not in ("..", "__pycache__") and not top.endswith(".pth"):
@@ -72,10 +74,10 @@ def link_set(names: list[str], path: list[str]) -> dict[str, Path]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    python, pytest_args = argv[0], argv[1:]
+    python = argv[0]
     try:
         probe = subprocess.run([python, "-I", "-c", _PROBE], capture_output=True, text=True)
     except OSError as error:
@@ -95,7 +97,7 @@ def main(argv: list[str]) -> int:
         print(f"Python {major}.{minor}, {'its own' if own_click == 'True' else 'linked'} click", file=sys.stderr)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), packages]),
                "PYTHONDONTWRITEBYTECODE": "1"}
-        cmd = [python, "-m", "pytest", "-q", "--continue-on-collection-errors", *pytest_args]
+        cmd = [python, "-m", "pytest", "-q", "--continue-on-collection-errors"]
         return subprocess.run(cmd, cwd=ROOT, env=env).returncode
 
 
