@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import re as _re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -100,6 +99,8 @@ class ArcTerm:
     @property
     def x(self) -> Fraction:
         """The x in t_x = arctan(1/x)."""
+        from fractions import Fraction
+
         return Fraction(self.re, self.im)
 
     def gaussian(self) -> GaussianInt:
@@ -114,9 +115,14 @@ class ArcTerm:
 
 def _sort_key(item: tuple[ArcTerm, int]) -> int | Fraction:
     """t_x ordered by x: an integer term by re alone, since an int and a
-    Fraction compare exactly, and a Fraction built only when im > 1."""
+    Fraction compare exactly, and a Fraction built, and ``fractions``
+    imported, only when im > 1."""
     term = item[0]
-    return term.re if term.im == 1 else Fraction(term.re, term.im)
+    if term.im == 1:
+        return term.re
+    from fractions import Fraction
+
+    return Fraction(term.re, term.im)
 
 
 class GregoryCombo:

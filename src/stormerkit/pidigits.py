@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import _divmod
@@ -98,6 +97,8 @@ class FixedPoint:
     terms_used: int | None = None
 
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.mantissa, 10 ** (self.scale + self.guard))
 
     def __float__(self) -> float:
@@ -133,13 +134,19 @@ _DUST = 2
 _LEAF = 16
 
 
-def _split(a2: int, b2: int, lo: int, hi: int, width: int, drop: int) -> tuple[int, int, int]:
+def _split(a2: int, b2: int, lo: int, hi: int, width: int, drop: int, with_p: bool = True) -> tuple[int, int, int]:
     """(P, Q, T) for terms lo..hi-1 of the sum of c_k, where c_0 = 1 and
     c_k / c_(k-1) = p_k / q_k = -(2k-1) b2 / ((2k+1) a2).
 
     P / Q is the product of p_j / q_j over the range and T / Q the sum of
-    its partial products; halves merge as P1*P2, Q1*Q2, T1*Q2 + P1*T2.  A
-    node whose Q passes its width is shifted right, all three together.  The
+    its partial products; halves merge as P1*P2, Q1*Q2, T1*Q2 + P1*T2.  Only
+    a left child's P is read, so P1*P2 is multiplied out only ``with_p``:
+    the root passes False, and so does each node without P to its right
+    child.  The right spine from the root therefore returns 0 for P, and
+    every other node carries it.  A leaf's P comes with its T: each term
+    multiplies p_k into the running product once and adds that product to
+    T.  A node whose Q passes its width is shifted right, all three
+    together.  The
     node enters the whole sum multiplied by |c_(lo-1)| <= (b2/a2)**(lo-1),
     and (a2/b2)**16 >= 2**drop, so its width shrinks by drop bits every 16
     terms (never below 32): each shift then moves the whole sum by less than
@@ -149,16 +156,24 @@ def _split(a2: int, b2: int, lo: int, hi: int, width: int, drop: int) -> tuple[i
         p, q, t = 1, 1, 0
         for k in range(lo, hi):
             pk, qk = (-(2 * k - 1) * b2, (2 * k + 1) * a2) if k else (1, 1)
-            p, q, t = p * pk, q * qk, t * qk + p * pk
+            p, q = p * pk, q * qk
+            t = t * qk + p
         return p, q, t
     mid = (lo + hi) // 2
     p1, q1, t1 = _split(a2, b2, lo, mid, width, drop)
-    p2, q2, t2 = _split(a2, b2, mid, hi, width, drop)
-    p, q, t = p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p2, q2, t2 = _split(a2, b2, mid, hi, width, drop, with_p)
+    p, q, t = p1 * p2 if with_p else 0, q1 * q2, t1 * q2 + p1 * t2
     shift = q.bit_length() - max(width - drop * (max(lo - 1, 0) // 16), 32)
     if shift > 0:
         p, q, t = p >> shift, q >> shift, t >> shift
     return p, q, t
+
+
+# 10**scale, built once for the term counts and series of one evaluation,
+# all at one scale.
+@lru_cache(maxsize=1)
+def _power_of_ten(scale: int) -> int:
+    return 10**scale
 
 
 def _arctan(a: int, b: int, scale: int, n: int) -> int:
@@ -174,11 +189,11 @@ def _arctan(a: int, b: int, scale: int, n: int) -> int:
     """
     if n <= 0:
         return 0
-    one = 10**scale
+    one = _power_of_ten(scale)
     a2, b2 = a * a, b * b
     width = one.bit_length() + n.bit_length() + 5
     drop = _divmod(a2**16, b2**16)[0].bit_length() - 1
-    _, q, t = _split(a2, b2, 0, n, width, drop)
+    _, q, t = _split(a2, b2, 0, n, width, drop, False)
     # arctan(b/a) ~ (b/a) * T/Q, so 10**scale * S_n = whole + rest / den
     den = a * q
     whole, rest = _divmod(one * b * t, den)
@@ -234,7 +249,7 @@ def _term_count(a: int, b: int, scale: int, max_terms: int | None) -> int:
         return max(max_terms, 0)
     capped = max_terms is not None
     a2, b2 = a * a, b * b
-    x = 10**scale * b
+    x = _power_of_ten(scale) * b
     c1 = 0 if capped else 2 * a
     if b > 1 and math.log(a2) > 8 * (math.log(a2) - math.log(b2)):
         first, n = 0, math.inf
@@ -400,6 +415,8 @@ def classical_bounds_check(digits: str | None = None) -> bool:
         return False
     # 120 digits decide both bounds with over a hundred orders of margin
     digits = digits[:122]
+    from fractions import Fraction
+
     frac_digits = len(digits) - 2
     value = Fraction(int(digits.replace(".", "", 1)), 10**frac_digits)
     if not (Fraction(223, 71) < value < Fraction(22, 7)):

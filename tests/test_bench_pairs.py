@@ -120,6 +120,7 @@ def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> N
         "code_lines": {"parent": 1371, "change": 1346},
         "nproc": 2,
         "python": "3.11.7",
+        "peak_jobs": {"parent": {}, "change": {}},
         "summary": bench_pairs.summarize(runs, bench_pairs.directions()),
     }
     assert [row["metric"] for row in record["summary"]] == ["work_per_s", "peak_rss_mb"]
@@ -195,3 +196,31 @@ def test_a_two_workload_log_gives_one_summary_per_workload(tmp_path: Path) -> No
     assert [line for line in lines if line.endswith(":")] == ["gregory-exact:", "pi-digits:"]
     assert lines.index("pi-digits:") == 1 + len(records[0]["summary"])
     assert lines[-2:] == ["code lines: parent 1338  change 1338", "not correct: pi-digits pair 1 change (seed 101)"]
+
+
+def _record_file(tree: Path, passes: list[dict[str, int]]) -> str:
+    """Write a run.py record with one pass per {job id: maxrss_kb} into
+    ``tree``'s perfbench/out, and return the stdout run.py prints with it."""
+    out = tree / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    jobs = [{job: {"exit": 0, "wall_s": 1.0, "cpu_s": 1.0, "maxrss_kb": kb} for job, kb in p.items()} for p in passes]
+    (out / "pi-digits-seed101-trace0.json").write_text(json.dumps({"passes": [{"jobs": j} for j in jobs]}))
+    return f"pi-digits seed 101: 2 pass(es)\nrecord: perfbench/out/pi-digits-seed101-trace0.json\n{_line(1.0, 18.0)}\n"
+
+
+def test_peak_job_is_the_largest_maxrss_over_all_passes(tmp_path: Path) -> None:
+    stdout = _record_file(tmp_path, [
+        {"pi-machin-10000": 18400, "pi-stormer1896-50000": 18900},
+        {"pi-machin-10000": 19000, "pi-stormer1896-50000": 18950},
+    ])
+    assert bench_pairs.peak_job(stdout, tmp_path) == "pi-machin-10000"
+    assert bench_pairs.peak_job("no record line\n", tmp_path) is None
+    # A run whose stdout holds no record keeps no job, and is left out of
+    # the counts.
+    runs = _runs([100.0, 101.0, 99.0], [102.0, 103.0, 98.0])
+    for run, job in zip(runs, ["a", "b", "a", "b", "c", None]):
+        run["peak_job"] = job
+    assert bench_pairs.peak_jobs(runs) == {"parent": {"a": 2, "c": 1}, "change": {"b": 2}}
+    assert bench_pairs.record(runs, _BETTER)["peak_jobs"] == bench_pairs.peak_jobs(runs)
+    text, _ = bench_pairs.report(runs, _BETTER)
+    assert "peak_rss_mb set by: parent a x2, c x1  change b x2" in text.splitlines()

@@ -1,6 +1,13 @@
 """The package namespace is lazy: importing ``stormerkit`` or its CLI loads
 no library module, each command loads only the modules it runs, and every
-public name still resolves to the object its owning module defines."""
+public name still resolves to the object its owning module defines.
+
+The same holds for the standard library's rational arithmetic: ``fractions``
+(which brings in ``decimal`` and ``numbers``) is imported only where a
+``Fraction`` is built, so importing gregory and pidigits, and running pi with
+integer terms, decompose, verify, density, stormer or twosquares, loads
+neither ``fractions`` nor ``decimal``.  A rational term such as t79/3 in the
+euler formula loads them on demand."""
 
 from __future__ import annotations
 
@@ -61,17 +68,53 @@ _COMMAND_MODULES = [
 ]
 
 
-@pytest.mark.parametrize("args, modules", _COMMAND_MODULES, ids=[" ".join(args) for args, _ in _COMMAND_MODULES])
-def test_each_command_loads_only_the_modules_it_runs(args: list[str], modules: set[str]) -> None:
-    code = (
+def _after_command(args: list[str], report: str) -> object:
+    """Run the CLI on ``args`` in a fresh interpreter, then ``report``."""
+    return _fresh(
         "import contextlib, io, json, sys\n"
         "from stormerkit.cli import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    try:\n        cli.main({args!r}, prog_name='stormerkit', standalone_mode=False)\n"
         "    except SystemExit as exc:\n        assert not exc.code\n"
-        f"{_LOADED}"
+        f"{report}"
     )
-    assert _fresh(code) == sorted(["stormerkit.cli", *(f"stormerkit.{m}" for m in modules)])
+
+
+@pytest.mark.parametrize("args, modules", _COMMAND_MODULES, ids=[" ".join(args) for args, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(args: list[str], modules: set[str]) -> None:
+    assert _after_command(args, _LOADED) == sorted(["stormerkit.cli", *(f"stormerkit.{m}" for m in modules)])
+
+
+_RATIONALS = "print(json.dumps(sorted(m for m in ('fractions', 'decimal') if m in sys.modules)))"
+
+# Commands whose terms are all integers: none of them builds a Fraction.
+_INTEGER_COMMANDS = [
+    ["pi", "--digits", "30"],
+    ["pi", "--formula", "stormer1896", "--digits", "30"],
+    ["gregory", "decompose", "239"],
+    ["gregory", "verify", "t1 = 4*t5 - t239"],
+    ["density", "--limits", "100,1000"],
+    ["stormer", "list", "--limit", "1000"],
+    ["twosquares", "13"],
+]
+
+
+@pytest.mark.parametrize("args", _INTEGER_COMMANDS, ids=[" ".join(args) for args in _INTEGER_COMMANDS])
+def test_integer_commands_load_no_rational_arithmetic(args: list[str]) -> None:
+    assert _after_command(args, _RATIONALS) == []
+
+
+def test_importing_the_pi_modules_loads_no_rational_arithmetic() -> None:
+    assert _fresh(f"import json, sys\nimport stormerkit.gregory, stormerkit.pidigits\n{_RATIONALS}") == []
+
+
+def test_a_rational_term_loads_fractions_on_demand() -> None:
+    code = (
+        "import json, sys\nfrom stormerkit.pidigits import FORMULAS, compute_pi\n"
+        "digits = compute_pi(FORMULAS['euler'], 30).digits\n"
+        "print(json.dumps([digits, 'fractions' in sys.modules]))"
+    )
+    assert _fresh(code) == ["3.141592653589793238462643383279", True]
 
 
 def test_all_is_unchanged_and_every_name_is_its_owners_object() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stormerkit import pidigits
-from stormerkit.gregory import ArcTerm, GregoryCombo, verify_identity
+from stormerkit.gregory import ArcTerm, GregoryCombo, parse_identity, verify_identity
 from stormerkit.pidigits import (
     FORMULAS,
     FixedPoint,
@@ -249,6 +250,33 @@ def test_arctan_rounds_the_exact_partial_sum_toward_the_limit() -> None:
                     even_ties += half_up.denominator == 1 and not n & 1
                     assert pidigits._arctan(a, b, scale, n) == expected, (a, b, scale, n)
     assert ties > 0 and even_ties > 0
+
+
+# sha256 of repr() of _arctan over _ARCTAN_GRID, fixed when the evaluator
+# still multiplied out P at every node: the splitting trees reach several
+# levels, with nodes both shifted and not, so any change to the merge or the
+# shift rule shows here.
+_ARCTAN_GRID = [
+    (a, b, scale, n)
+    for a, b in ((2, 1), (5, 1), (239, 1), (12943, 1), (3, 2), (79, 3), (13, 12))
+    for n in (17, 33, 100, 1000, 4097)
+    for scale in (0, 60, 3000)
+]
+_ARCTAN_SHA256 = "efe4c387a36594e674dee5f3f32c49113b4a4b2019a54eb206f06c375ad2ed54"
+
+
+def test_arctan_is_bit_identical_beyond_one_leaf() -> None:
+    values = [pidigits._arctan(a, b, scale, n) for a, b, scale, n in _ARCTAN_GRID]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == _ARCTAN_SHA256
+
+
+def test_a_long_low_precision_series_made_of_leaves() -> None:
+    # 166 646 terms of t10001/10000 at 5 digits: the work is almost all in
+    # the leaves, where each term takes one product p * p_k.
+    _, formula = parse_identity("t1 = t10001/10000 + t20001")
+    result = compute_pi(formula, 5)
+    assert result.digits == "3.14159"
+    assert result.terms_used == _reference_terms(formula, 5, None)
 
 
 def test_series_terms_follow_the_floored_chain() -> None:

@@ -36,6 +36,13 @@ worktree's ``src/stormerkit`` by this checkout's ``tools/code_lines.py``,
 and the text summary gives them after its rows; a log that predates them
 gives None.
 
+After each run the tool reads the record whose path run.py prints
+(``record: perfbench/out/...``) and keeps the id of the job with the
+largest ``maxrss_kb`` over all its passes: the job that set
+``peak_rss_mb``.  The text summary and the ``--json`` object's
+``peak_jobs`` give, for each workload and side, each such job and the
+number of runs whose peak it set; a log that predates them gives none.
+
 Only the standard library and git are used.  The tool reads ``perfbench/``
 and ``BENCHMARK.json`` and changes neither.
 """
@@ -50,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
@@ -70,6 +78,29 @@ def result_line(stdout: str) -> dict:
     if not lines:
         raise ValueError("run.py printed nothing")
     return json.loads(lines[-1])
+
+
+def peak_job(stdout: str, tree: Path) -> str | None:
+    """The id of the job with the largest ``maxrss_kb`` over all passes of
+    the record that run.py, run in ``tree``, names on its stdout, or None
+    if it names none or the record has no passes."""
+    path = next((line.split(": ", 1)[1] for line in stdout.splitlines() if line.startswith("record: ")), None)
+    if path is None:
+        return None
+    peaks: dict[str, int] = {}
+    for figures in json.loads((tree / path).read_text()).get("passes", []):
+        for job_id, job in figures["jobs"].items():
+            peaks[job_id] = max(peaks.get(job_id, 0), job["maxrss_kb"])
+    return max(peaks, key=peaks.__getitem__) if peaks else None
+
+
+def peak_jobs(runs: list[dict]) -> dict[str, dict[str, int]]:
+    """side -> {job id: the number of runs whose peak_rss_mb it set}, the
+    most frequent first; runs without a ``peak_job`` are left out."""
+    return {
+        side: dict(Counter(r["peak_job"] for r in runs if r["side"] == side and r.get("peak_job")).most_common())
+        for side in SIDES
+    }
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -142,6 +173,12 @@ def report(runs: list[dict], better: dict[str, str]) -> tuple[str, int]:
             f"wins {row['change_wins']}/{row['pairs']}  beyond parent IQR: {'yes' if row['gain_exceeds_parent_iqr'] else 'no'}"
             for row in summarize(group, better)
         ]
+        jobs = peak_jobs(group)
+        if any(jobs.values()):
+            lines.append("peak_rss_mb set by: " + "  ".join(
+                f"{side} " + ", ".join(f"{job} x{count}" for job, count in counts.items())
+                for side, counts in jobs.items()
+            ))
     lines.append("code lines: " + "  ".join(f"{side} {total}" for side, total in per_side(runs, "code_lines").items()))
     lines += [f"not correct: {w}" for w in wrong]
     return "\n".join(lines), 1 if wrong else 0
@@ -165,6 +202,7 @@ def record(runs: list[dict], better: dict[str, str]) -> dict:
         "code_lines": per_side(runs, "code_lines"),
         "nproc": first.get("nproc"),
         "python": first.get("python"),
+        "peak_jobs": peak_jobs(runs),
         "summary": summarize(runs, better),
     }
 
@@ -215,7 +253,8 @@ def run_pairs(args: argparse.Namespace, log) -> list[dict]:
             except ValueError:
                 result = {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
             run = {"pair": pair, "side": side, "seed": seed, "workload": workload, "commit": commits[side],
-                   "code_lines": lines[side], **host, "result": result}
+                   "code_lines": lines[side], **host, "peak_job": peak_job(done.stdout, trees[side]),
+                   "result": result}
             runs.append(run)
             log.write(json.dumps(run) + "\n")
             log.flush()
