@@ -87,7 +87,7 @@ def test_each_command_loads_only_the_modules_it_runs(args: list[str], modules: s
 
 _RATIONALS = "print(json.dumps(sorted(m for m in ('fractions', 'decimal') if m in sys.modules)))"
 
-# Commands whose terms are all integers: none of them builds a Fraction.
+# Commands that build no Fraction: no term of theirs is rational.
 _INTEGER_COMMANDS = [
     ["pi", "--digits", "30"],
     ["pi", "--formula", "stormer1896", "--digits", "30"],

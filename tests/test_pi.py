@@ -252,8 +252,8 @@ def test_arctan_rounds_the_exact_partial_sum_toward_the_limit() -> None:
     assert ties > 0 and even_ties > 0
 
 
-# sha256 of repr() of _arctan over _ARCTAN_GRID, fixed when the evaluator
-# still multiplied out P at every node: the splitting trees reach several
+# sha256 of repr() of _arctan over _ARCTAN_GRID, computed from the evaluator
+# that multiplied out P at every node: the splitting trees reach several
 # levels, with nodes both shifted and not, so any change to the merge or the
 # shift rule shows here.
 _ARCTAN_GRID = [
