@@ -398,13 +398,13 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, 
 
 
 def sqrt_minus_one_mod_p(p: int) -> int:
-    """A solution x of x**2 == -1 (mod p), 1 <= x <= p-1.
+    """S(p): the solution x of x**2 == -1 (mod p) with 1 <= x <= (p-1)/2.
 
     Requires p prime with p == 1 (mod 4) and raises ValueError otherwise:
     for any other odd p no solution exists, and p = 2, whose root is 1, has
     no S(p) and no two-squares palindrome.  The root is found by raising a
     quadratic non-residue to the power (p-1)/4, which is the Tonelli-Shanks
-    computation specialized to -1.
+    computation specialized to -1; of it and p minus it, the smaller is S(p).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -418,22 +418,17 @@ def sqrt_minus_one_mod_p(p: int) -> int:
 def _sqrt_minus_one(p: int) -> int:
     """:func:`sqrt_minus_one_mod_p` for p already known to be a prime == 1 (mod 4).
 
-    a**((p-1)/4) squares to -1 exactly when a is a non-residue.  The base is
-    the least non-residue, from :func:`_least_non_residue`, so one ``pow``
-    finds the root.  Should that power not square to -1 (only possible for
-    a p that is not a prime == 1 (mod 4)), the bases a = 2, 3, 4, ... are
-    tried in turn, and the first whose power does is again the least
-    non-residue.
+    a**((p-1)/4) squares to -1 exactly when a is a non-residue, and the base
+    is the least non-residue, from :func:`_least_non_residue`, so one ``pow``
+    finds a root x.  S(p) is the smaller of x and p - x.  For a p that is
+    not a prime == 1 (mod 4) the power may not square to -1, and then
+    ArithmeticError is raised rather than a wrong root returned.
     """
-    e = (p - 1) // 4
-    x = pow(_least_non_residue(p), e, p)
-    if x * x % p == p - 1:
-        return x
-    for a in range(2, p):
-        x = pow(a, e, p)
-        if x * x % p == p - 1:
-            return x
-    raise ArithmeticError(f"no square root of -1 modulo {p}: {p} is not a prime == 1 (mod 4)")
+    x = pow(_least_non_residue(p), (p - 1) // 4, p)
+    if x * x % p != p - 1:
+        raise ArithmeticError(f"no square root of -1 modulo {p}: {p} is not a prime == 1 (mod 4)")
+    # Not min(x, p - x): the comparison is several times cheaper per root.
+    return x if 2 * x < p else p - x
 
 
 # The odd primes that _least_non_residue tries, in ascending order.
@@ -441,21 +436,23 @@ _ODD_TRIAL_PRIMES = _TRIAL_PRIMES[1:]
 
 
 def _least_non_residue(p: int) -> int:
-    """The least quadratic non-residue modulo a prime p == 1 (mod 4), or 2
-    if none is below _TRIAL_LIMIT.
+    """The least quadratic non-residue modulo a prime p == 1 (mod 4).
 
     The least non-residue is prime, since a product of residues is a
     residue.  2 is one exactly when p == 5 (mod 8).  For an odd prime q,
     reciprocity gives (q/p) = (p/q), as p == 1 (mod 4), and Euler's
     criterion reads (p/q) from (p mod q)**((q-1)/2) mod q, a power of small
-    ints.
+    ints.  Past the odd primes below _TRIAL_LIMIT, which no prime below
+    about 10**20 needs, Euler's criterion is read mod p for a = _TRIAL_LIMIT,
+    _TRIAL_LIMIT + 1, ...; a p with no non-residue there, which is then no
+    prime == 1 (mod 4), gets 2.
     """
     if p % 8 == 5:
         return 2
     for q in _ODD_TRIAL_PRIMES:
         if pow(p % q, q >> 1, q) == q - 1:
             return q
-    return 2
+    return next((a for a in range(_TRIAL_LIMIT, p) if pow(a, p >> 1, p) == p - 1), 2)
 
 
 def _quarter(re: int, im: int) -> tuple[int, int, int]:

@@ -85,14 +85,10 @@ def stormer_of_prime(p: int) -> StormerPair:
 
     Of the two least-residue roots x and p - x of x**2 == -1 (mod p),
     exactly one lies in (1, (p-1)/2]; that one is S(p).  Any other p is
-    refused with ValueError by :func:`arith.sqrt_minus_one_mod_p`.
+    refused with ValueError by :func:`arith.sqrt_minus_one_mod_p`, which
+    returns S(p) itself.
     """
-    return _pair(p, arith.sqrt_minus_one_mod_p(p))
-
-
-def _pair(p: int, x: int) -> StormerPair:
-    """(p, S(p)) from a root x of x**2 == -1 (mod p)."""
-    return StormerPair(p, min(x, p - x))
+    return StormerPair(p, arith.sqrt_minus_one_mod_p(p))
 
 
 def check_factor_residues(x0: int) -> bool:
@@ -198,4 +194,4 @@ def enumerate_stormer(limit: int, convention: Convention = Convention.INCLUSIVE)
 
 def prime_stormer_table(prime_limit: int) -> list[StormerPair]:
     """All pairs (p, S(p)) for primes p == 1 (mod 4) up to prime_limit."""
-    return [_pair(p, arith._sqrt_minus_one(p)) for p in arith.sieve_primes(prime_limit) if p % 4 == 1]
+    return [StormerPair(p, arith._sqrt_minus_one(p)) for p in arith.sieve_primes(prime_limit) if p % 4 == 1]

@@ -1,7 +1,8 @@
 """Two-squares decompositions of primes p == 1 (mod 4) via continuants.
 
-Smith's construction: run the Euclidean algorithm on p / S(p).  The quotient
-sequence is a palindrome of even length [q1..qn, qn..q1], and
+Smith's construction: run the Euclidean algorithm on p / S(p), with S(p)
+read from ``arith.sqrt_minus_one_mod_p``.  The quotient sequence is a
+palindrome of even length [q1..qn, qn..q1], and
 
     p = K(q1..qn)**2 + K(q1..q_{n-1})**2
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import arith, stormer
+from . import arith
 
 __all__ = ["TwoSquares", "continuant", "euclid_quotients", "two_squares"]
 
@@ -78,7 +79,7 @@ def two_squares(p: int) -> TwoSquares:
     """
     if p % 4 == 3 and arith.is_prime(p):
         raise ValueError(f"{p} is not a sum of two squares: only primes p == 1 (mod 4) are")
-    x0 = stormer.stormer_of_prime(p).x0  # validates primality
+    x0 = arith.sqrt_minus_one_mod_p(p)  # S(p); validates primality
     qs = euclid_quotients(p, x0)
     if len(qs) % 2 or not _is_palindrome(qs):
         raise ArithmeticError(f"no even-length palindromic quotient sequence for p={p} (got {qs})")

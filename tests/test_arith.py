@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stormerkit import arith
+from stormerkit import arith, stormer
 from stormerkit.arith import (
     GaussianInt,
     extended_gcd,
@@ -784,6 +784,14 @@ def test_sqrt_minus_one_examples() -> None:
     assert sqrt_minus_one_mod_p(17) in (4, 13)
 
 
+def test_sqrt_minus_one_mod_p_is_s_of_p() -> None:
+    # The smaller root, S(p), whichever root the power of the base lands on.
+    assert [sqrt_minus_one_mod_p(p) for p in (5, 13, 17)] == [2, 5, 4]
+    for p in sieve_primes(20000):
+        if p % 4 == 1:
+            assert sqrt_minus_one_mod_p(p) == stormer.stormer_of_prime(p).x0 <= (p - 1) // 2
+
+
 def test_sqrt_minus_one_rejects_bad_inputs() -> None:
     with pytest.raises(ValueError):
         sqrt_minus_one_mod_p(7)  # 3 mod 4
@@ -821,13 +829,26 @@ def _check_root(p: int) -> None:
     # as trying a = 2, 3, ... in turn.
     base = _least_non_residue_by_search(p)
     assert arith._least_non_residue(p) == base
-    assert x == pow(base, (p - 1) // 4, p)
+    root = pow(base, (p - 1) // 4, p)
+    assert x == min(root, p - root)
 
 
 def test_sqrt_minus_one_matches_sympy_below_2e5() -> None:
     for p in sieve_primes(2 * 10**5):
         if p % 4 == 1:
             _check_root(p)
+
+
+def test_least_non_residue_past_the_trial_primes(monkeypatch: pytest.MonkeyPatch) -> None:
+    # No prime below about 10**20 has its least non-residue past the trial
+    # primes, so shrink them to 3 and 5 to reach the scan by Euler's criterion.
+    monkeypatch.setattr(arith, "_ODD_TRIAL_PRIMES", (3, 5))
+    monkeypatch.setattr(arith, "_TRIAL_LIMIT", 7)
+    ps = [p for p in sieve_primes(10**4) if p % 8 == 1 and _least_non_residue_by_search(p) >= 7]
+    assert len(ps) == 68 and ps[:5] == [241, 409, 601, 769, 1009]
+    for p in ps:
+        assert arith._least_non_residue(p) == _least_non_residue_by_search(p)
+        assert arith._sqrt_minus_one(p) == min(sympy.sqrt_mod(p - 1, p, all_roots=True))
 
 
 def test_sqrt_minus_one_matches_sympy_from_20_to_90_bits() -> None:
