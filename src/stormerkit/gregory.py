@@ -30,6 +30,11 @@ coefficients.  The Gaussian product itself is multiplied out only as a
 certificate to print (:func:`identity_certificate`).
 The flattening of a + bi to e + i through a*d + b*c = 1 is kept as
 :func:`flatten`.
+
+A :class:`GregoryCombo` holds its terms as one flat tuple of ints, (re, im,
+coef) per term in ascending x = re/im; the vector readers and the pi
+evaluator read those triples, and :class:`ArcTerm` values are built only
+when a caller asks for the terms.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 import re as _re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cmp_to_key
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import arith
@@ -113,42 +118,46 @@ class ArcTerm:
         return f"t{self.re}" if self.im == 1 else f"t{self.re}/{self.im}"
 
 
-def _sort_key(item: tuple[ArcTerm, int]) -> int | Fraction:
-    """t_x ordered by x: an integer term by re alone, since an int and a
-    Fraction compare exactly, and a Fraction built, and ``fractions``
-    imported, only when im > 1."""
-    term = item[0]
-    if term.im == 1:
-        return term.re
-    from fractions import Fraction
+# Terms (re, im) in ascending x = re/im, exactly: s before t when
+# s.re * t.im < t.re * s.im, with no Fraction built and ``fractions`` not
+# imported.
+_sort_key = cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1])
 
-    return Fraction(term.re, term.im)
+
+def _summed(triples: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
+    """The sum of the terms (re, im, coef) of ``triples`` in the form of
+    ``GregoryCombo._terms``: duplicates merged, zeros dropped, sorted."""
+    merged: dict[tuple[int, int], int] = {}
+    for re, im, c in triples:
+        merged[re, im] = merged.get((re, im), 0) + c
+    return tuple(v for key in sorted(merged, key=_sort_key) if merged[key] for v in (*key, merged[key]))
 
 
 class GregoryCombo:
     """An integer combination of arc terms, denoting sum(c_z * arg(z)).
 
-    Immutable once built; zero coefficients are dropped and keys are kept
-    canonical, so equal combinations compare equal.
+    Immutable: ``_terms`` is one flat tuple (re, im, coef, re, im, coef,
+    ...), a triple per term, each coefficient a nonzero int, in ascending
+    x = re/im; so equal combinations hold equal tuples.  ArcTerms are built
+    only when asked for, by :meth:`items` and the methods that read it.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ArcTerm, int] | Iterable[tuple[ArcTerm, int]] = ()) -> None:
-        merged: dict[ArcTerm, int] = {}
         # type() first: the ABC check behind isinstance(terms, Mapping) is slow.
         items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
+        triples = []
         for term, coef in items:
-            if not isinstance(term, ArcTerm):
-                raise TypeError(f"expected ArcTerm keys, got {term!r}")
-            if coef:
-                merged[term] = merged.get(term, 0) + coef
-        self._terms = {t: c for t, c in merged.items() if c}
+            if not isinstance(term, ArcTerm) or type(coef) is bool or not isinstance(coef, int):
+                raise TypeError(f"expected ArcTerm keys and int coefficients, got {term!r}: {coef!r}")
+            triples.append((term.re, term.im, coef))
+        self._terms = _summed(triples)
 
     @classmethod
-    def _canonical(cls, terms: dict[ArcTerm, int]) -> "GregoryCombo":
-        """The combo over ``terms``, a dict no one else holds whose keys are
-        ArcTerms and whose coefficients are nonzero, taken as it is."""
+    def _canonical(cls, terms: tuple[int, ...]) -> "GregoryCombo":
+        """The combo over ``terms``, a tuple already in the form of
+        ``_terms``, taken as it is."""
         combo = cls.__new__(cls)
         combo._terms = terms
         return combo
@@ -162,14 +171,19 @@ class GregoryCombo:
     def single(term: ArcTerm, coef: int = 1) -> "GregoryCombo":
         return GregoryCombo({term: coef})
 
+    def _triples(self) -> Iterator[tuple[int, int, int]]:
+        """(re, im, coef) of each term, in ascending x."""
+        flat = iter(self._terms)
+        return zip(flat, flat, flat)
+
     def terms(self) -> dict[ArcTerm, int]:
-        return dict(self._terms)
+        return dict(self.items())
 
     def items(self) -> list[tuple[ArcTerm, int]]:
-        return sorted(self._terms.items(), key=_sort_key)
+        return [(ArcTerm(re, im), c) for re, im, c in self._triples()]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._terms) // 3
 
     def __iter__(self) -> Iterator[tuple[ArcTerm, int]]:
         return iter(self.items())
@@ -181,41 +195,38 @@ class GregoryCombo:
         return isinstance(other, GregoryCombo) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(self.items()))
+        return hash(self._terms)
 
     def __add__(self, other: "GregoryCombo") -> "GregoryCombo":
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            out[t] = out.get(t, 0) + c
-        return GregoryCombo(out)
+        if not isinstance(other, GregoryCombo):
+            return NotImplemented
+        return GregoryCombo._canonical(_summed((*self._triples(), *other._triples())))
 
     def __sub__(self, other: "GregoryCombo") -> "GregoryCombo":
-        return self + (-other)
+        return self + -other if isinstance(other, GregoryCombo) else NotImplemented
 
     def __neg__(self) -> "GregoryCombo":
-        return GregoryCombo({t: -c for t, c in self._terms.items()})
+        return self * -1
 
     def __mul__(self, k: int) -> "GregoryCombo":
-        return GregoryCombo({t: k * c for t, c in self._terms.items()})
+        if type(k) is bool or not isinstance(k, int):
+            return NotImplemented
+        return GregoryCombo._canonical(_summed((re, im, k * c) for re, im, c in self._triples()))
 
     __rmul__ = __mul__
 
     def value(self) -> float:
-        return math.fsum(c * t.value() for t, c in self._terms.items())
+        return math.fsum(c * math.atan2(im, re) for re, im, c in self._triples())
 
     def to_json(self) -> dict:
-        return {"terms": [{"re": t.re, "im": t.im, "coef": c} for t, c in self.items()]}
+        return {"terms": [{"re": re, "im": im, "coef": c} for re, im, c in self._triples()]}
 
     @staticmethod
     def from_json(data: Mapping) -> "GregoryCombo":
-        out: dict[ArcTerm, int] = {}
-        for entry in data["terms"]:
-            if "n" in entry:
-                term = ArcTerm.integer(int(entry["n"]))
-            else:
-                term = ArcTerm(int(entry["re"]), int(entry["im"]))
-            out[term] = out.get(term, 0) + int(entry["coef"])
-        return GregoryCombo(out)
+        return GregoryCombo(
+            (ArcTerm.integer(int(e["n"])) if "n" in e else ArcTerm(int(e["re"]), int(e["im"])), int(e["coef"]))
+            for e in data["terms"]
+        )
 
     def __str__(self) -> str:
         if not self._terms:
@@ -231,7 +242,7 @@ class GregoryCombo:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"GregoryCombo({self._terms!r})"
+        return f"GregoryCombo({self.terms()!r})"
 
 
 # --- identity verification -------------------------------------------------
@@ -265,12 +276,12 @@ def _turns(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
     return q, re, im
 
 
-def _powers(terms: Iterable[tuple[ArcTerm, int]]) -> list[tuple[int, int, int]]:
+def _powers(combo: GregoryCombo) -> list[tuple[int, int, int]]:
     """The triples (a, b, e) of a Gaussian product prod((a + bi)**e) whose
-    argument is sum(c * arg(t)) over the pairs (t, c) of ``terms``; a
-    negative c takes |c| times the conjugate of t, whose argument is -arg(t)
-    as re >= 1."""
-    return [(t.re, t.im if c > 0 else -t.im, abs(c)) for t, c in terms]
+    argument is sum(c * arg(re + im*i)) over the terms (re, im, c) of
+    ``combo``; a negative c takes |c| times the conjugate, whose argument is
+    the negative as re >= 1."""
+    return [(re, im if c > 0 else -im, abs(c)) for re, im, c in combo._triples()]
 
 
 def _refine(todo: list[tuple[int, int]]) -> list[int]:
@@ -328,12 +339,11 @@ def _combo_vector(combo: GregoryCombo) -> dict[int, int]:
     takes gcds and modular inverses only, factors nothing and touches no
     table, whatever the terms and coefficients."""
     # a**2 + b**2 is 2 (mod 4) when a and b are both odd, and odd otherwise.
-    odd = {t: (t.re * t.re + t.im * t.im) >> (t.re & t.im & 1) for t in combo._terms}
-    base = _refine([(n, t.re * pow(t.im, -1, n) % n) for t, n in odd.items() if n > 1])
+    terms = [(a, b, c, (a * a + b * b) >> (a & b & 1)) for a, b, c in combo._triples()]
+    base = _refine([(n, a * pow(b, -1, n) % n) for a, b, _, n in terms if n > 1])
     total: dict[int, int] = {}
-    for t, c in combo._terms.items():
-        n = odd[t]
-        factors = [(2, 1)] if t.re & t.im & 1 else []
+    for a, b, c, n in terms:
+        factors = [(2, 1)] if a & b & 1 else []
         for m in base:
             e = 0
             while n % m == 0:
@@ -341,7 +351,7 @@ def _combo_vector(combo: GregoryCombo) -> dict[int, int]:
                 e += 1
             if e:
                 factors.append((m, e))
-        _add(total, _vector(t.re, t.im, factors, _piece), c)
+        _add(total, _vector(a, b, factors, _piece), c)
     return {s: c for s, c in total.items() if c}
 
 
@@ -542,11 +552,6 @@ def _prime_entry(p: int, s: int) -> tuple[int, int, dict[int, int]]:
     return a, b, arg
 
 
-# t_s for the s of decompose's results, t_1 and the S(p) of the table's
-# entries, built once each.
-_basis_term = cache(ArcTerm.integer)
-
-
 def decompose(n: int) -> GregoryCombo:
     """Express t_n as an integer combination of Stormer-basis terms.
 
@@ -556,22 +561,25 @@ def decompose(n: int) -> GregoryCombo:
     n mod p, and t_n = e2*t_1 + sum(+-e*A(p)) less 2*q*t_1 for the q
     quarter turns of that product (:func:`_vector`).  Each A(p) is a
     combination of t_s with s Stormer and s <= (p - 1)/2 < n.  That sum is
-    verified exactly, in quarter turns, before it is returned.  Nothing is
-    kept per n: a call adds to the caches of :func:`_prime_entry` and
-    ``_basis_term`` only the primes it meets and their t_S(p), and it
-    takes no lock.
+    verified exactly, in quarter turns, before it is returned.  The result
+    holds ints only, the triples (s, 1, c) of that vector in ascending s (or
+    the one triple (n, 1, 1)), and no ArcTerm is built for it.  Nothing is
+    kept per n: a call adds to the cache of :func:`_prime_entry` only the
+    primes it meets, and it takes no lock.
     """
+    if type(n) is bool:
+        raise TypeError(f"expected an integer, not bool: {n!r}")
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     factors = arith._factorize_norm(n * n + 1)
     if factors[-1][0] >= _threshold(n, _INCLUSIVE):
-        return GregoryCombo._canonical({ArcTerm.integer(n): 1})
+        return GregoryCombo._canonical((n, 1, 1))
     vector = _vector(n, 1, factors, _prime_entry)
     powers = [(n, 1, 1)] + [(s, -1, c) if c > 0 else (s, 1, -c) for s, c in vector.items()]
     q, _, im = _turns(powers)
     if q or im:
         raise ArithmeticError(f"internal decomposition of t_{n} failed verification")
-    return GregoryCombo._canonical({_basis_term(s): c for s, c in vector.items()})
+    return GregoryCombo._canonical(tuple(v for s in sorted(vector) for v in (s, 1, vector[s])))
 
 
 def is_irreducible(n: int) -> bool:

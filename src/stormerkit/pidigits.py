@@ -266,10 +266,10 @@ def _term_count(a: int, b: int, scale: int, max_terms: int | None) -> int:
     return stop
 
 
-def _guard(digits: int, terms: list[ArcTerm], count: int | None = None) -> int:
+def _guard(digits: int, terms: list[tuple[int, int]], count: int | None = None) -> int:
     """Guard digits below the published ones: ten, plus the decimal length
     of a term count, ``count`` if given, else the estimate digits * ln 10 /
-    (2 ln(a/b)) + 2 summed over ``terms`` (10**digits for t_1).
+    (2 ln(a/b)) + 2 summed over the (a, b) of ``terms`` (10**digits for t_1).
 
     The guard sets the working scale and with it the term counts reported
     in ``terms_used``; the error bound it must clear is a few units per
@@ -277,8 +277,8 @@ def _guard(digits: int, terms: list[ArcTerm], count: int | None = None) -> int:
     """
     if count is None:
         count = sum(
-            10**digits if t.re == t.im else int(digits * math.log(10) / (2 * (math.log(t.re) - math.log(t.im)))) + 2
-            for t in terms
+            10**digits if a == b else int(digits * math.log(10) / (2 * (math.log(a) - math.log(b)))) + 2
+            for a, b in terms
         )
     return 10 + len(_decimal_digits(max(count, 1)))
 
@@ -301,7 +301,7 @@ def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None =
         raise ValueError(f"series argument {b}/{a} is not below one")
     if a == b == 1 and max_terms is None:
         raise ValueError("the series for t_1 needs an explicit term cap")
-    guard = _guard(precision_digits, [term], max_terms)
+    guard = _guard(precision_digits, [(a, b)], max_terms)
     scale = precision_digits + guard
     n = _term_count(a, b, scale, max_terms)
     return FixedPoint(_arctan(a, b, scale, n), precision_digits, guard, n)
@@ -318,12 +318,12 @@ def _checked_multiple(formula: GregoryCombo, digits: int, max_terms: int | None)
     read (:func:`stormerkit.gregory._formula_multiple`)."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    items = formula.items()
-    if max_terms is None and any(t.re == t.im for t, _ in items):
+    terms = list(formula._triples())
+    if max_terms is None and any(a == b for a, b, _ in terms):
         raise ValueError("a formula containing t1 itself needs an explicit term cap")
-    for t, _ in items:
-        if t.im > t.re:
-            raise ValueError(f"series argument {t.im}/{t.re} is not below one")
+    for a, b, _ in terms:
+        if b > a:
+            raise ValueError(f"series argument {b}/{a} is not below one")
     return _formula_multiple(formula)
 
 
@@ -334,13 +334,13 @@ def _pi(formula: GregoryCombo, digits: int, max_terms: int | None) -> tuple[int,
     """(mantissa, scale, k, terms): pi ~ mantissa / 10**scale from the
     formula, which equals k * t_1, and the length of each term's series."""
     k = _checked_multiple(formula, digits, max_terms)
-    items = formula.items()
-    scale = digits + _guard(digits, [t for t, _ in items])
+    terms = list(formula._triples())
+    scale = digits + _guard(digits, [(a, b) for a, b, _ in terms])
     total = 0
     used = []
-    for term, coef in items:
-        n = _term_count(term.re, term.im, scale, max_terms)
-        total += coef * _arctan(term.re, term.im, scale, n)
+    for a, b, coef in terms:
+        n = _term_count(a, b, scale, max_terms)
+        total += coef * _arctan(a, b, scale, n)
         used.append(n)
     return 4 * total // k, scale, k, tuple(used)
 
@@ -375,7 +375,7 @@ def tail_correct_digits(formula: GregoryCombo, digits: int, max_terms: int) -> i
     Never more than ``digits``.
     """
     mantissa, scale, k, used = _pi(formula, digits, max_terms)
-    bound = sum(abs(c) * _error_bound(t.re, t.im, scale, n) for (t, c), n in zip(formula.items(), used))
+    bound = sum(abs(c) * _error_bound(a, b, scale, n) for (a, b, c), n in zip(formula._triples(), used))
     error = -(-4 * bound // k) + 1  # the final floor division adds at most one unit
     if error > mantissa:
         return 0

@@ -124,9 +124,16 @@ def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> N
         "summary": bench_pairs.summarize(runs, bench_pairs.directions()),
     }
     assert [row["metric"] for row in record["summary"]] == ["work_per_s", "peak_rss_mb"]
-    # The per-run values stay in the log: the summary's only lists are
-    # pairs of quartiles.
-    assert all(len(values) == 2 for values in _lists(record["summary"]))
+    # Each row keeps the raw values of every pair, in pair order, and the
+    # pairs' seeds, so that the wins and the gain can be recounted from it.
+    work, rss = record["summary"]
+    assert work["values"] == {"parent": [100.0, 104.0, 96.0], "change": [125.0, 120.0, 95.0]}
+    assert rss["values"] == {"parent": [26.0] * 3, "change": [26.0] * 3}
+    assert work["seeds"] == rss["seeds"] == [101, 102, 101]
+    assert work["change_wins"] == sum(c > p for p, c in zip(*work["values"].values())) == 2
+    # Beside those, the summary's only lists are pairs of quartiles.
+    rows = [{k: v for k, v in row.items() if k not in ("values", "seeds")} for row in record["summary"]]
+    assert all(len(values) == 2 for values in _lists(rows))
     text, _ = bench_pairs.report(runs, bench_pairs.directions())
     assert text.splitlines()[-1] == "code lines: parent 1371  change 1346"
 

@@ -50,8 +50,8 @@ _PRIME_ENTRY = gregory._prime_entry
 
 @pytest.fixture
 def cold_tables(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict[int, int]]:
-    """The decomposition engine from empty caches: no A(p) entry and no
-    basis term, emptied again after the test.  Yields p -> S(p) for every
+    """The decomposition engine from an empty cache: no A(p) entry, emptied
+    again after the test.  Yields p -> S(p) for every
     prime whose entry is asked for, read by a wrapper over
     gregory._prime_entry: decompose and the recursion inside _prime_entry
     both call it through the module name, so its keys are the table's."""
@@ -62,11 +62,9 @@ def cold_tables(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict[int, int]]:
         return _PRIME_ENTRY(p, s)
 
     _PRIME_ENTRY.cache_clear()
-    gregory._basis_term.cache_clear()
     monkeypatch.setattr(gregory, "_prime_entry", entry)
     yield met
     _PRIME_ENTRY.cache_clear()
-    gregory._basis_term.cache_clear()
 
 
 # --- arc terms and combos -----------------------------------------------------
@@ -177,6 +175,96 @@ def test_items_are_ordered_by_the_fraction_re_over_im(terms: dict[ArcTerm, int])
     # Integer terms are sorted by re alone: the order must be that of x = re/im.
     expected = sorted(terms.items(), key=lambda tc: Fraction(tc[0].re, tc[0].im))
     assert GregoryCombo(terms).items() == expected
+
+
+@st.composite
+def _term_lists(draw) -> list[tuple[ArcTerm, int]]:
+    """Shuffled (term, coef) pairs over integer and rational terms, some
+    terms repeated and some with coefficients summing to zero."""
+    pairs = draw(st.lists(st.tuples(_ARC_TERMS, st.integers(-4, 4)), max_size=10))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
+        for t in draw(st.sets(st.sampled_from([t for t, _ in pairs]), max_size=3)):
+            pairs.append((t, -sum(c for u, c in pairs if u == t)))
+    return draw(st.permutations(pairs))
+
+
+def _merged(pairs: list[tuple[ArcTerm, int]]) -> dict[ArcTerm, int]:
+    out: dict[ArcTerm, int] = {}
+    for t, c in pairs:
+        out[t] = out.get(t, 0) + c
+    return out
+
+
+@given(_term_lists(), _term_lists())
+@example([(T(5), 2), (ArcTerm(7, 2), 1), (T(5), -2), (T(3), 1), (ArcTerm(7, 2), 0)], [(T(3), -1)])
+def test_a_combo_of_any_term_list_is_the_combo_of_its_merged_dict(
+    pairs: list[tuple[ArcTerm, int]], others: list[tuple[ArcTerm, int]]
+) -> None:
+    a, merged = GregoryCombo(pairs), GregoryCombo(_merged(pairs))
+    assert a == merged and hash(a) == hash(merged)
+    assert str(a) == str(merged) and a.to_json() == merged.to_json()
+    assert GregoryCombo.from_json(json.loads(json.dumps(a.to_json()))) == a
+    items = a.items()
+    assert items == sorted(((t, c) for t, c in _merged(pairs).items() if c), key=lambda tc: tc[0].x)
+    assert all(type(c) is int and c != 0 for _, c in items)
+    assert all(s.x < t.x for (s, _), (t, _) in zip(items, items[1:]))
+    assert len(a) == len(items) and bool(a) is bool(items) and a.terms() == dict(items)
+    b = GregoryCombo(others)
+    assert a + b - b == a and b + a == a + b and a - a == GregoryCombo()
+    assert -a + a == GregoryCombo() and 3 * a == a + a + a and a * 0 == GregoryCombo()
+
+
+@pytest.mark.parametrize("coef", [1.5, 2.0, Fraction(2), True, False, "2", None])
+def test_a_combo_refuses_a_coefficient_that_is_not_an_int(coef: object) -> None:
+    # As ArcTerm refuses a bool part: a float 2.0 or a True would pass for 2
+    # or 1 in every comparison and vector, and print as neither.
+    with pytest.raises(TypeError):
+        GregoryCombo({T(5): coef})  # type: ignore[dict-item]
+    with pytest.raises(TypeError):
+        GregoryCombo([(T(5), 1), (ArcTerm(79, 3), coef)])  # type: ignore[list-item]
+
+
+def test_machin_with_float_coefficients_is_refused() -> None:
+    with pytest.raises(TypeError):
+        verify_identity(combo({1: 1}), GregoryCombo({T(5): 4.0, T(239): -1.0}))  # type: ignore[dict-item]
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, Fraction(2), True])
+def test_a_combo_times_a_non_int_is_a_type_error(k: object) -> None:
+    machin = combo({5: 4, 239: -1})
+    assert machin.__mul__(k) is NotImplemented
+    with pytest.raises(TypeError):
+        machin * k  # type: ignore[operator]
+    with pytest.raises(TypeError):
+        k * machin  # type: ignore[operator]
+
+
+@pytest.mark.parametrize("other", [1, 0, 1.5, "t1", None, T(5)])
+def test_a_combo_plus_or_minus_a_non_combo_is_a_type_error(other: object) -> None:
+    machin = combo({5: 4, 239: -1})
+    assert machin.__add__(other) is NotImplemented and machin.__sub__(other) is NotImplemented
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(TypeError):
+            op(machin, other)
+        with pytest.raises(TypeError):
+            op(other, machin)
+
+
+def test_decompose_builds_no_arc_term(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A result holds ints; items() builds its ArcTerms when asked.
+    built = []
+    check = ArcTerm.__post_init__
+
+    def counted(term: ArcTerm) -> None:
+        built.append(term)
+        check(term)
+
+    monkeypatch.setattr(ArcTerm, "__post_init__", counted)
+    results = [decompose(n) for n in range(1, 2001)]
+    assert built == []
+    items = results[69].items()
+    assert len(built) == 3 and items == [(T(2), -1), (T(5), 2), (T(12), 1)]
 
 
 # --- verification ---------------------------------------------------------------
@@ -482,7 +570,7 @@ def test_verdicts_factor_nothing_and_leave_the_tables(monkeypatch: pytest.Monkey
 
     for name in ("_factorize_norm", "_trial_factorize", "factorize", "is_prime", "_miller_rabin", "_brent_rho"):
         monkeypatch.setattr(arith, name, spy(name, getattr(arith, name)))
-    caches = _PRIME_ENTRY.cache_info(), gregory._basis_term.cache_info()
+    caches = _PRIME_ENTRY.cache_info()
     monkeypatch.setattr(gregory, "_prime_entry", spy("_prime_entry", gregory._prime_entry))
     for t in terms:
         assert not verify_identity(combo({1: 1}), GregoryCombo.single(t))
@@ -493,7 +581,7 @@ def test_verdicts_factor_nothing_and_leave_the_tables(monkeypatch: pytest.Monkey
         with pytest.raises(ValueError):
             gregory._formula_multiple(pair + GregoryCombo.single(t))
     assert calls == []
-    assert (_PRIME_ENTRY.cache_info(), gregory._basis_term.cache_info()) == caches
+    assert _PRIME_ENTRY.cache_info() == caches
     decompose(70)
     assert "_prime_entry" in calls
 
@@ -707,7 +795,6 @@ def test_decompose_from_threads_equals_the_serial_results(cold_tables: dict[int,
     ranges = [range(1 + 1000 * i, 3001 + 1000 * i) for i in range(6)]
     serial = {n: decompose(n) for n in range(1, 8001)}
     _PRIME_ENTRY.cache_clear()
-    gregory._basis_term.cache_clear()
     results: list[list[GregoryCombo]] = [[] for _ in ranges]
 
     def work(i: int) -> None:
@@ -732,8 +819,8 @@ def test_decompose_from_threads_equals_the_serial_results(cold_tables: dict[int,
 
 
 def test_decompose_keeps_no_state_per_n(cold_tables: dict[int, int]) -> None:
-    # A sweep grows the caches of the A(p) entries and of their basis terms,
-    # and nothing else: the module holds no dict, list or set to grow.
+    # A sweep grows the cache of the A(p) entries, and nothing else: the
+    # module holds no dict, list or set to grow, and no other cache.
     def sizes() -> dict[str, int]:
         return {
             name: len(v)
@@ -746,7 +833,7 @@ def test_decompose_keeps_no_state_per_n(cold_tables: dict[int, int]) -> None:
         decompose(n)
     assert sizes() == {}
     assert _PRIME_ENTRY.cache_info().currsize == len(cold_tables) > 0
-    assert gregory._basis_term.cache_info().currsize <= _PRIME_ENTRY.cache_info().currsize + 1
+    assert [name for name, v in vars(gregory).items() if hasattr(v, "cache_info")] == []
     assert all(arith.is_prime(p) and p % 4 == 1 for p in cold_tables)
 
 
@@ -849,10 +936,13 @@ def test_decompose_result_equals_the_public_construction() -> None:
         assert fast == public and hash(fast) == hash(public), n
         assert fast.items() == public.items() and fast.terms() == public.terms()
         assert str(fast) == str(public) and fast.to_json() == public.to_json()
-        # Neither the returned copy nor the result's own dict is shared with
-        # the engine's tables or with a later result.
+        # Neither the returned copy nor the result's own terms are shared
+        # with the engine's tables or with a later result: the terms are one
+        # immutable tuple, the one the public constructor builds.
         fast.terms().clear()
-        fast._terms[T(n + 1)] = 1
+        assert type(fast._terms) is tuple and fast._terms == public._terms
+        with pytest.raises(TypeError):
+            fast._terms[0] = n + 1  # type: ignore[index]
         assert decompose(n) == public, n
 
 

@@ -109,12 +109,17 @@ def test_importing_the_pi_modules_loads_no_rational_arithmetic() -> None:
 
 
 def test_a_rational_term_loads_fractions_on_demand() -> None:
+    # A combo orders and sums a rational term by cross products, so pi over
+    # Euler's formula loads no fractions; a term's x is a Fraction, imported
+    # when it is asked for.
     code = (
         "import json, sys\nfrom stormerkit.pidigits import FORMULAS, compute_pi\n"
         "digits = compute_pi(FORMULAS['euler'], 30).digits\n"
-        "print(json.dumps([digits, 'fractions' in sys.modules]))"
+        "loaded = 'fractions' in sys.modules\n"
+        "x = str(FORMULAS['euler'].items()[1][0].x)\n"
+        "print(json.dumps([digits, loaded, x, 'fractions' in sys.modules]))"
     )
-    assert _fresh(code) == ["3.141592653589793238462643383279", True]
+    assert _fresh(code) == ["3.141592653589793238462643383279", False, "79/3", True]
 
 
 def test_all_is_unchanged_and_every_name_is_its_owners_object() -> None:

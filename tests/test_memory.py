@@ -3,7 +3,8 @@ decompose sweep: the x**2 + 1 sieve holds one block of x at a time and
 ``stormer list`` streams its values, so neither command grows far past the
 interpreter that imports the CLI; the prime sieve holds one segment of odd
 numbers and one zero buffer at a time; decompose keeps nothing per n, only
-the A(p) table of the primes it meets.
+the A(p) table of the primes it meets, and each result it returns holds a
+tuple of ints, not a dict of ArcTerms.
 
 Each child reads its own peak, VmHWM of its address space, from
 /proc/self/status.  Its ``ru_maxrss`` would not do: Linux carries the
@@ -50,6 +51,18 @@ for n in range(1, 20001):
 print(peak_mb() - base)
 """
 
+# Decompose 1..10**4 once to fill the A(p) table, then hold the results of a
+# second pass and print the bytes tracemalloc counts per result.
+_HELD = """
+import tracemalloc
+from stormerkit import gregory
+for n in range(1, 10001):
+    gregory.decompose(n)
+tracemalloc.start()
+results = [gregory.decompose(n) for n in range(1, 10001)]
+print(tracemalloc.get_traced_memory()[0] / len(results))
+"""
+
 # The Mertens gap to 10**7, then the heuristic sum at x0 = 3000, which
 # sieves 6001..9000001, and print the peak over the peak after
 # `from stormerkit import density`.
@@ -92,6 +105,14 @@ def test_sieve_commands_stay_near_the_import_baseline(args: list[str], tmp_path)
 def test_decompose_sweep_stays_near_the_import_baseline() -> None:
     growth = float(_run(_SWEEP).stdout)
     assert growth < 4, growth
+
+
+def test_decompose_results_hold_few_bytes_each() -> None:
+    # About 162 B: the combo, its tuple of (re, im, coef) and the ints not
+    # shared with the A(p) table, for 71% of n a Stormer number's one triple.
+    # A dict of ArcTerm keys per result held about 344 B.
+    held = float(_run(_HELD).stdout)
+    assert held <= 200, held
 
 
 def test_density_sums_stay_near_the_import_baseline() -> None:

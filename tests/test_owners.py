@@ -97,10 +97,9 @@ def test_gaussian_prime_over_p_has_one_route() -> None:
 
 def test_verdicts_name_no_factoring_and_no_table() -> None:
     # A verdict reads gcds and modular inverses only: the factoring stack,
-    # the A(p) entries and the cache of their basis terms serve decompose alone.
+    # and the A(p) entries serve decompose alone.
     gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
     engine = {"_factorize_norm", "_trial_factorize", "factorize", "is_prime", "_prime_entry"}
-    engine |= {"_basis_term"}
     for name in ("verify_identity", "_formula_multiple", "_combo_vector", "_refine", "_piece"):
         assert not _names(_function(gregory_py, name)) & engine, name
     assert "_prime_entry" in _names(_function(gregory_py, "decompose"))
@@ -126,25 +125,24 @@ def test_pi_divides_only_through_arith_divmod() -> None:
 
 def test_decompose_returns_through_the_private_constructor() -> None:
     # The vector is canonical already: decompose neither re-checks it in
-    # GregoryCombo() nor builds a fresh ArcTerm per term.  The one ArcTerm it
-    # builds is a Stormer n's own t_n; every other term is a shared basis term.
+    # GregoryCombo() nor builds an ArcTerm at all.  A Stormer n's result is
+    # the one triple (n, 1, 1); every other result is its vector's triples.
     func = _function(Path(stormerkit.__file__).parent / "gregory.py", "decompose")
     calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
     assert not any(isinstance(c.func, ast.Name) and c.func.id == "GregoryCombo" for c in calls)
-    built = [
-        c for c in calls
-        if isinstance(c.func, ast.Attribute) and c.func.attr == "integer" and _names(c.func.value) == {"ArcTerm"}
-    ]
-    assert [[ast.unparse(arg) for arg in c.args] for c in built] == [["n"]]
+    assert "ArcTerm" not in _names(func)
+    built = [c for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "_canonical"]
+    assert len(built) == 2 and all(_names(c.func.value) == {"GregoryCombo"} for c in built)
     (stormer_branch,) = [node for node in ast.walk(func) if isinstance(node, ast.If) and "_threshold" in _names(node.test)]
-    assert any(c is built[0] for stmt in stormer_branch.body for c in ast.walk(stmt))
+    (stormer_call,) = [c for stmt in stormer_branch.body for c in ast.walk(stmt) if c in built]
+    assert [ast.unparse(arg) for arg in stormer_call.args] == ["(n, 1, 1)"]
 
 
 def test_values_are_built_by_their_constructors() -> None:
     # No module writes a slot through its __set__ or allocates a value with
     # object.__new__, past the checks of a dataclass's __init__.  The one
     # __new__ call left is GregoryCombo._canonical's, which takes an
-    # already canonical dict as it is.
+    # already canonical tuple as it is.
     setters, allocations = [], []
     for path in _SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -185,7 +183,7 @@ def test_the_a_p_table_is_a_cache_of_a_pure_function() -> None:
     ]
     assert not any(isinstance(node, (ast.Global, ast.Nonlocal)) for node in ast.walk(func))
     assert set(stored) <= local
-    assert not _names(ast.parse(gregory_py.read_text())) & {"_prime_memo", "_basis_terms", "_memo_lock", "threading"}
+    assert not _names(ast.parse(gregory_py.read_text())) & {"_prime_memo", "_basis_terms", "_basis_term", "_memo_lock", "threading"}
 
 
 def test_stormer_builds_no_whole_range_table() -> None:

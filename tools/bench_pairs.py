@@ -22,13 +22,15 @@ worktrees are removed at the end.
 For each workload and each end-to-end metric of ``BENCHMARK.json`` the
 summary gives both medians, the quartiles of both sides, the pairs the
 change wins in the metric's better direction, the median gain, and whether
-that gain exceeds the parent's interquartile range.  The exit status is 1
+that gain exceeds the parent's interquartile range; each row also keeps the
+raw per-pair values of both sides and the seed of each pair, so that the
+verdict can be recomputed from it.  The exit status is 1
 if any run did not report ``correct: true``.  ``--log`` writes one JSON line
 per run, and ``--replay`` summarizes such a log again without running
 anything.  ``--json`` writes the summary of a workload as one JSON object:
 the rows, the workload, the seeds, the pair count, both revisions resolved
 to commits, each side's code-line total, and the host's processor count and
-Python version, all read from the runs; it holds no per-run numbers.  With
+Python version, all read from the runs.  With
 several workloads it writes a list of these objects, in the order given,
 and the text summary heads each workload's rows with its name; with one,
 neither has a list or a heading.  The code-line totals are counted in each
@@ -114,19 +116,20 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
     """One row per metric that every pair of ``runs`` reports, over the
     pairs in which both sides reported metrics; a run is a record {"pair",
-    "side", "seed", "result", ...}."""
+    "side", "seed", "result", ...}.  A row's ``values`` are each side's
+    values in pair order, and its ``seeds`` the pairs' seeds."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
     pairs = [
         sides for _, sides in sorted(by_pair.items())
-        if set(sides) == set(SIDES) and all("metrics" in result for result in sides.values())
+        if set(sides) == set(SIDES) and all("metrics" in run["result"] for run in sides.values())
     ]
     rows = []
     for name, direction in better.items():
-        if not pairs or any(name not in p[side]["metrics"] for p in pairs for side in SIDES):
+        if not pairs or any(name not in p[side]["result"]["metrics"] for p in pairs for side in SIDES):
             continue
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         sign = 1 if direction == "higher" else -1
         parent, change = (statistics.median(values[side]) for side in SIDES)
         q1, q3 = quartiles(values["parent"])
@@ -142,6 +145,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
             "gain_pct": 100 * gain / parent if parent else 0.0,
             "gain_exceeds_parent_iqr": gain > q3 - q1,
+            "values": values,
+            "seeds": [p["parent"]["seed"] for p in pairs],
         })
     return rows
 
