@@ -183,7 +183,8 @@ def test_the_a_p_table_is_a_cache_of_a_pure_function() -> None:
     ]
     assert not any(isinstance(node, (ast.Global, ast.Nonlocal)) for node in ast.walk(func))
     assert set(stored) <= local
-    assert not _names(ast.parse(gregory_py.read_text())) & {"_prime_memo", "_basis_terms", "_basis_term", "_memo_lock", "threading"}
+    gone = {"_prime_memo", "_basis_terms", "_basis_term", "_memo_lock", "threading"}
+    assert not _names(ast.parse(gregory_py.read_text())) & gone
 
 
 def test_stormer_builds_no_whole_range_table() -> None:
