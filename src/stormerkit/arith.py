@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
 from typing import Iterator
 
@@ -207,7 +206,7 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def value(self) -> int:
-        return reduce(lambda acc, pe: acc * pe[0] ** pe[1], self.factors, 1)
+        return math.prod(p**e for p, e in self.factors)
 
     def largest_prime(self) -> int:
         """Largest prime factor; 1 for the empty factorization."""
@@ -470,10 +469,15 @@ def _quarter(re: int, im: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class GaussianInt:
-    """Gaussian integer re + im*i with exact arithmetic."""
+    """Gaussian integer re + im*i with exact arithmetic.  Each part must be
+    an int: a bool, float or any other value raises TypeError."""
 
     re: int
     im: int
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(v, int) and type(v) is not bool for v in (self.re, self.im)):
+            raise TypeError(f"Gaussian integer parts must be ints, not bools: got {self.re!r}, {self.im!r}")
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)
@@ -594,7 +598,7 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
     for p, e in _factorize_norm(x * x + y * y):
         found[(1, 1) if p == 2 else _prime_over(p, x * pow(y, -1, p))] += e
     factors = sorted(((GaussianInt(a, b), e) for (a, b), e in found.items()), key=lambda fe: (fe[0].norm(), fe[0].im))
-    product = reduce(lambda acc, fe: acc * fe[0] ** fe[1], factors, GaussianInt(1, 0))
+    product = math.prod((g**e for g, e in factors), start=GaussianInt(1, 0))
     if not product.divides(z) or not (unit := z.exact_div(product)).is_unit():
         raise ArithmeticError(f"the Gaussian primes found for {z} leave a non-unit residual")
     return unit, tuple(factors)

@@ -130,17 +130,13 @@ def stormer_group() -> None:
 @_formatted
 def stormer_check(n: int, convention: str | None) -> tuple:
     """Decide whether N is a Stormer number."""
+    from dataclasses import asdict
+
     from . import stormer
 
     conv = stormer.Convention(convention or "strict")
     verdict = stormer.is_stormer(n, conv)
-    payload = {
-        "x0": verdict.x0,
-        "is_stormer": verdict.is_stormer,
-        "witness_prime": verdict.witness_prime,
-        "largest_prime_factor": verdict.largest_prime_factor,
-        "convention": verdict.convention.value,
-    }
+    payload = {**asdict(verdict), "convention": verdict.convention.value}
 
     def text() -> str:
         bound = stormer._threshold(n, conv)
@@ -185,10 +181,12 @@ def stormer_list(limit: int, convention: str | None) -> tuple:
 @_formatted
 def stormer_of_prime(p: int) -> tuple:
     """Print S(P) for a prime P congruent to 1 mod 4."""
+    from dataclasses import asdict
+
     from . import stormer
 
     pair = stormer.stormer_of_prime(p)
-    return {"p": pair.p, "x0": pair.x0}, lambda: f"S({pair.p}) = {pair.x0}"
+    return asdict(pair), lambda: f"S({pair.p}) = {pair.x0}"
 
 
 # --- twosquares ---------------------------------------------------------------
@@ -198,10 +196,12 @@ def stormer_of_prime(p: int) -> tuple:
 @_formatted
 def twosquares_cmd(p: int) -> tuple:
     """Decompose a prime P == 1 (mod 4) as a sum of two squares."""
+    from dataclasses import asdict
+
     from . import twosquares
 
     result = twosquares.two_squares(p)
-    payload = {"p": result.p, "a": result.a, "b": result.b, "palindrome": list(result.palindrome), "x0": result.x0}
+    payload = asdict(result)
 
     def text() -> str:
         palindrome = ",".join(str(q) for q in result.palindrome)

@@ -27,14 +27,17 @@ an identity holds exactly when the vector of its difference is empty, and
 a hidden 2*pi*m shows as 8*m on t_1.  No float decides a verdict, and no
 factoring, primality test or table does; its cost does not grow with the
 coefficients.  The Gaussian product itself is multiplied out only as a
-certificate to print (:func:`identity_certificate`).
+certificate to print (:func:`identity_certificate`), by the same
+:func:`_turns` that counts a vector's quarter turns.
 The flattening of a + bi to e + i through a*d + b*c = 1 is kept as
 :func:`flatten`.
 
 A :class:`GregoryCombo` holds its terms as one flat tuple of ints, (re, im,
 coef) per term in ascending x = re/im; the vector readers and the pi
 evaluator read those triples, and :class:`ArcTerm` values are built only
-when a caller asks for the terms.
+when a caller asks for the terms.  Its constructor is the one place terms
+are merged and type-checked: the identity parser and
+:meth:`GregoryCombo.from_json` hand it their terms as they come.
 """
 
 from __future__ import annotations
@@ -223,9 +226,12 @@ class GregoryCombo:
 
     @staticmethod
     def from_json(data: Mapping) -> "GregoryCombo":
+        """The combo of ``to_json``'s form, with {"n": n, "coef": c} taken
+        for the term n + i.  Each field goes to ArcTerm and the constructor
+        as it is, so a float, a bool or a string raises TypeError and
+        repeated terms are summed."""
         return GregoryCombo(
-            (ArcTerm.integer(int(e["n"])) if "n" in e else ArcTerm(int(e["re"]), int(e["im"])), int(e["coef"]))
-            for e in data["terms"]
+            (ArcTerm.integer(e["n"]) if "n" in e else ArcTerm(e["re"], e["im"]), e["coef"]) for e in data["terms"]
         )
 
     def __str__(self) -> str:
@@ -359,8 +365,13 @@ def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
     """Gaussian product over the difference combo, conjugating terms with
     negative coefficients.  The identity holds modulo 2*pi exactly when this
     product is a positive real number.  Its size grows with the
-    coefficients; the verdict itself is :func:`verify_identity`'s."""
-    return math.prod((GaussianInt(a, b) ** e for a, b, e in _powers(lhs - rhs)), start=GaussianInt(1, 0))
+    coefficients; the verdict itself is :func:`verify_identity`'s.
+
+    :func:`_turns` squares and multiplies the powers, giving the product as
+    i**q * (r + si); the certificate is that rotation of r + si, read from a
+    table of the four powers of i."""
+    q, r, s = _turns(_powers(lhs - rhs))
+    return GaussianInt(*((r, s), (-s, r), (-r, -s), (s, -r))[q % 4])
 
 
 def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
@@ -646,7 +657,7 @@ _TERM_RE = _re.compile(r"([+-]?)(?:(\d+)\*)?t(\d+)(?:/(\d+))?")
 
 def _parse_side(text: str, original: str) -> GregoryCombo:
     pos = 0
-    terms: dict[ArcTerm, int] = {}
+    terms: list[tuple[ArcTerm, int]] = []
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
         if not match or (pos > 0 and match.group(1) == ""):
@@ -657,7 +668,7 @@ def _parse_side(text: str, original: str) -> GregoryCombo:
             term = ArcTerm.of(int(match.group(3)), int(match.group(4) or 1))
         except ValueError as exc:
             raise IdentityParseError(f"bad term in identity {original!r}: {exc}") from None
-        terms[term] = terms.get(term, 0) + coef
+        terms.append((term, coef))
         pos = match.end()
     if not terms:
         raise IdentityParseError(f"empty side in identity {original!r}")

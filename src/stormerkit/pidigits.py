@@ -355,7 +355,12 @@ def compute_pi(formula: GregoryCombo, digits: int, max_terms: int | None = None)
     ``max_terms`` is set (see :func:`tail_correct_digits`).  A capped value
     that does not start with "3." raises ValueError: the cap is too small.
     Uncapped, it raises ArithmeticError, since the series bounds failed.
+    ``digits`` and ``max_terms`` must be ints, or TypeError is raised; a
+    bool is refused, as the cache behind this function would take True
+    for 1.
     """
+    if not all(isinstance(v, int) and type(v) is not bool for v in (digits, 1 if max_terms is None else max_terms)):
+        raise TypeError(f"digits and max_terms must be ints, not bools: got {digits!r}, {max_terms!r}")
     mantissa, scale, _, used = _pi(formula, digits, max_terms)
     text = FixedPoint(mantissa, digits, scale - digits).decimal_string()
     if not text.startswith("3."):

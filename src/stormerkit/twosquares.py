@@ -67,10 +67,6 @@ def euclid_quotients(s: int, r: int) -> list[int]:
     return qs
 
 
-def _is_palindrome(qs: Sequence[int]) -> bool:
-    return list(qs) == list(reversed(qs))
-
-
 def two_squares(p: int) -> TwoSquares:
     """The unique decomposition p = a**2 + b**2 of a prime p == 1 (mod 4).
 
@@ -81,7 +77,7 @@ def two_squares(p: int) -> TwoSquares:
         raise ValueError(f"{p} is not a sum of two squares: only primes p == 1 (mod 4) are")
     x0 = arith.sqrt_minus_one_mod_p(p)  # S(p); validates primality
     qs = euclid_quotients(p, x0)
-    if len(qs) % 2 or not _is_palindrome(qs):
+    if len(qs) % 2 or qs != qs[::-1]:
         raise ArithmeticError(f"no even-length palindromic quotient sequence for p={p} (got {qs})")
     half = qs[: len(qs) // 2]
     a = continuant(half)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -551,6 +552,16 @@ def test_gaussian_basic_ops() -> None:
     assert (z * w).norm() == z.norm() * w.norm()
     assert z.conjugate() == GaussianInt(3, -1)
     assert GaussianInt(2, 3) ** 4 == GaussianInt(2, 3) * GaussianInt(2, 3) * GaussianInt(2, 3) * GaussianInt(2, 3)
+
+
+@pytest.mark.parametrize("re, im", [
+    (1.5, 2), (2, 1.0), (True, 2), (1, False), ("1", 2), (Fraction(1), 2), (None, 0),
+])
+def test_gaussian_parts_are_ints(re: object, im: object) -> None:
+    # GaussianInt(1.5, 2) * GaussianInt(1, 1) would give -0.5+3.5i, and a
+    # bool would print as neither 1 nor 0.
+    with pytest.raises(TypeError):
+        GaussianInt(re, im)  # type: ignore[arg-type]
 
 
 @given(

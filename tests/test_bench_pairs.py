@@ -111,7 +111,8 @@ def test_json_record_holds_the_summary_and_the_runs_context(tmp_path: Path) -> N
     log, out = tmp_path / "runs.jsonl", tmp_path / "summary.json"
     log.write_text("".join(json.dumps(run) + "\n" for run in runs))
     assert bench_pairs.main(["--replay", str(log), "--json", str(out)]) == 0
-    record = json.loads(out.read_text())
+    # One workload is written as a list of one, as several are.
+    (record,) = json.loads(out.read_text())
     assert record == {
         "workload": "gregory-exact",
         "seeds": [101, 102],

@@ -153,6 +153,30 @@ def test_combo_json_round_trip() -> None:
     assert GregoryCombo.from_json({"terms": [{"n": 5, "coef": 4}]}) == combo({5: 4})
 
 
+@pytest.mark.parametrize("terms", [
+    [{"n": 5, "coef": 1.5}, {"re": 239, "im": 1, "coef": True}],
+    [{"n": 5.9, "coef": 1}],
+    [{"n": "5", "coef": "4"}],
+    [{"re": 79.0, "im": 3, "coef": 2}],
+], ids=["float-and-bool-coef", "float-n", "strings", "float-re"])
+def test_from_json_takes_ints_only(terms: list) -> None:
+    # The fields go to ArcTerm and GregoryCombo as they are, so a JSON float,
+    # bool or string is refused rather than truncated to t5 + t239, t5 or 4*t5.
+    with pytest.raises(TypeError):
+        GregoryCombo.from_json({"terms": terms})
+
+
+def test_parsed_and_loaded_terms_merge_in_the_constructor() -> None:
+    # Repeated terms reach GregoryCombo as they are written, which sums them.
+    lhs, rhs = parse_identity("t1 = 2*t5 + t239 + 2*t5 - 2*t239")
+    assert rhs == combo({5: 4, 239: -1}) and lhs == combo({1: 1})
+    assert parse_identity("t1 = t5 - t5 + t1")[1] == combo({1: 1})
+    loaded = GregoryCombo.from_json(
+        {"terms": [{"n": 5, "coef": 3}, {"re": 5, "im": 1, "coef": 1}, {"n": 239, "coef": -1}]}
+    )
+    assert loaded == combo({5: 4, 239: -1})
+
+
 def test_arcterm_is_a_slotted_frozen_value() -> None:
     t = ArcTerm(79, 3)
     assert t == ArcTerm.of(158, 6) and hash(t) == hash(ArcTerm(79, 3))

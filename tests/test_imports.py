@@ -53,6 +53,13 @@ def test_import_loads_no_library_module(module: str) -> None:
     assert loaded == (["stormerkit.cli"] if module == "stormerkit.cli" else [])
 
 
+def test_importing_the_cli_loads_no_dataclasses() -> None:
+    # The commands that write a record as asdict() of a library dataclass
+    # import asdict in their bodies, after the library has loaded
+    # dataclasses; at the top of cli.py it would cost every start.
+    assert _fresh("import json, sys\nimport stormerkit.cli\nprint(json.dumps('dataclasses' in sys.modules))") is False
+
+
 # Each command and the library modules it runs, with gregory's own import of
 # stormer; twosquares reads S(p) from arith alone.
 _COMMAND_MODULES = [

@@ -11,12 +11,17 @@ cached pure function, which assigns no module name.  The
 x**2 + 1 sieve holds one block of x at a time and carries every prime
 == 1 (mod 4) by one path, the per-block buckets, and the CLI writes its
 output in one function.  Values are built by their constructors, not
-through slot setters."""
+through slot setters.  Each value has one builder: a combo's terms are
+merged and type-checked only in ``GregoryCombo``'s constructor, the
+certificate is read from ``_turns``'s product, and the CLI's records are
+their dataclasses as ``asdict`` gives them."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import stormerkit
 
@@ -249,3 +254,43 @@ def test_cli_writes_output_in_one_place() -> None:
     cli_py = Path(stormerkit.__file__).parent / "cli.py"
     writers = _output_writers(ast.parse(cli_py.read_text(), filename=str(cli_py)))
     assert writers and set(writers) == {"_write"}
+
+
+def _calls(func: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+
+
+def test_combo_terms_are_merged_and_checked_only_by_the_constructor() -> None:
+    # from_json hands the JSON fields over as they are, so a float or a bool
+    # meets the constructor's check instead of int(); _parse_side appends
+    # (term, coef) pairs and keeps its int() of the regex's digits only.
+    gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
+    from_json = _function(gregory_py, "from_json")
+    assert not any(isinstance(c.func, ast.Name) and c.func.id == "int" for c in _calls(from_json))
+    assert "GregoryCombo" in _names(from_json)
+    parse_side = _function(gregory_py, "_parse_side")
+    assert not any(isinstance(node, (ast.Dict, ast.DictComp)) for node in ast.walk(parse_side))
+    assert "get" not in {c.func.attr for c in _calls(parse_side) if isinstance(c.func, ast.Attribute)}
+    assert "append" in _names(parse_side) and "GregoryCombo" in _names(parse_side)
+
+
+def test_the_certificate_is_read_from_turns() -> None:
+    # _turns is gregory's one square-and-multiply: the certificate is
+    # i**q * (r + si) for its (q, r, s), and no function multiplies a product
+    # out with math.prod.
+    gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
+    assert "_turns" in _names(_function(gregory_py, "identity_certificate"))
+    tree = ast.parse(gregory_py.read_text(), filename=str(gregory_py))
+    prods = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c.func, ast.Attribute) and c.func.attr == "prod" for c in _calls(node))
+    ]
+    assert prods == []
+
+
+@pytest.mark.parametrize("command", ["stormer_check", "stormer_of_prime", "twosquares_cmd"])
+def test_cli_records_are_their_dataclasses(command: str) -> None:
+    cli_py = Path(stormerkit.__file__).parent / "cli.py"
+    assert "asdict" in _names(_function(cli_py, command))

@@ -105,6 +105,19 @@ def test_compute_pi_rejects_bad_inputs() -> None:
         compute_pi(GregoryCombo(), 20)
 
 
+@pytest.mark.parametrize("digits, max_terms", [
+    (True, None), (False, None), (10.5, None), (10.0, None), ("10", None), (None, None), (Fraction(10), None),
+    (10, True), (10, 2.0), (10, "3"),
+])
+def test_compute_pi_refuses_digits_and_caps_that_are_not_ints(digits: object, max_terms: object) -> None:
+    # True right after 1 would be a hit in the cache behind compute_pi, which
+    # takes True for 1; the check comes first.
+    assert compute_pi(FORMULAS["machin"], 1).digits == "3.1"
+    assert compute_pi(FORMULAS["machin"], 10, 1).digits
+    with pytest.raises(TypeError):
+        compute_pi(FORMULAS["machin"], digits, max_terms)  # type: ignore[arg-type]
+
+
 def test_compute_pi_accepts_multiples_of_t1() -> None:
     # 2*t1: doubled Machin
     doubled = GregoryCombo.of_integers({5: 8, 239: -2})

@@ -27,13 +27,13 @@ raw per-pair values of both sides and the seed of each pair, so that the
 verdict can be recomputed from it.  The exit status is 1
 if any run did not report ``correct: true``.  ``--log`` writes one JSON line
 per run, and ``--replay`` summarizes such a log again without running
-anything.  ``--json`` writes the summary of a workload as one JSON object:
-the rows, the workload, the seeds, the pair count, both revisions resolved
-to commits, each side's code-line total, and the host's processor count and
-Python version, all read from the runs.  With
-several workloads it writes a list of these objects, in the order given,
-and the text summary heads each workload's rows with its name; with one,
-neither has a list or a heading.  The code-line totals are counted in each
+anything.  ``--json`` writes a list with one JSON object per workload, in
+the order given, a single workload too, so that every file it writes has
+one shape.  Each object holds the summary's rows, the workload, the seeds,
+the pair count, both revisions resolved to commits, each side's code-line
+total, and the host's processor count and Python version, all read from the
+runs.  With several workloads the text summary heads each workload's rows
+with its name; with one it has no heading.  The code-line totals are counted in each
 worktree's ``src/stormerkit`` by this checkout's ``tools/code_lines.py``,
 and the text summary gives them after its rows; a log that predates them
 gives None.
@@ -282,7 +282,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")], default=[101, 102, 9001])
     parser.add_argument("--log", help="write one JSON line per run to this file")
     parser.add_argument("--replay", help="summarize a --log file instead of running")
-    parser.add_argument("--json", help="write the summary as one JSON object to this file")
+    parser.add_argument("--json", help="write the summary as a list of one JSON object per workload to this file")
     args = parser.parse_args(argv)
     if not args.replay and not (args.parent and args.change and args.workload):
         parser.error("PARENT, CHANGE and --workload are required unless --replay is given")
@@ -303,7 +303,7 @@ def main(argv: list[str]) -> int:
     print(text)
     if args.json:
         records = [record(group, better) for group in by_workload(runs).values()]
-        Path(args.json).write_text(json.dumps(records[0] if len(records) == 1 else records, indent=1) + "\n")
+        Path(args.json).write_text(json.dumps(records, indent=1) + "\n")
     return status
 
 
