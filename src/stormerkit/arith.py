@@ -100,6 +100,23 @@ def _primes_between(lo: int, hi: int) -> Iterator[int]:
         yield from compress(range(start, stop, 2), seg)
 
 
+def _ints(*values: object) -> None:
+    """Raise TypeError for the first value that is not an int or is a bool:
+    the one integer rule of the public entry points.  A bool is an int to
+    Python, but True would pass for 1 and print as neither."""
+    for v in values:
+        if type(v) is bool or not isinstance(v, int):
+            raise TypeError(f"expected an int that is not a bool, got {v!r}")
+
+
+def _positive(n: int) -> int:
+    """n, once :func:`_ints` passes it and n >= 1; else ValueError."""
+    _ints(n)
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    return n
+
+
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
     """Strong-probable-prime test of odd n to every base, each base in
     2..n-1: :func:`is_prime` calls it only for n >= 47**2."""
@@ -124,10 +141,10 @@ def is_prime(n: int) -> bool:
 
     Uses trial division by a few small primes followed by Miller-Rabin with
     witness sets proven correct below 3.3e24; units and negatives are not
-    prime.  A non-integer n, such as 13.0, is refused with TypeError.
+    prime.  A non-integer n, such as 13.0, or a bool is refused with
+    TypeError (:func:`_ints`).
     """
-    if not isinstance(n, int):
-        raise TypeError(f"expected an integer, got {n!r}")
+    _ints(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -217,10 +234,9 @@ class PrimeFactorization:
 
 
 def factorize(n: int) -> PrimeFactorization:
-    """Prime factorization of n >= 1; n = 1 gives the empty factorization."""
-    if n <= 0:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
-    return PrimeFactorization(_trial_factorize(n, _TRIAL_STAGES))
+    """Prime factorization of n >= 1; n = 1 gives the empty factorization.
+    Any other n is refused by :func:`_positive`."""
+    return PrimeFactorization(_trial_factorize(_positive(n), _TRIAL_STAGES))
 
 
 # The stages of _factorize_norm: 2 and the primes == 1 (mod 4) below
@@ -476,8 +492,7 @@ class GaussianInt:
     im: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, int) and type(v) is not bool for v in (self.re, self.im)):
-            raise TypeError(f"Gaussian integer parts must be ints, not bools: got {self.re!r}, {self.im!r}")
+        _ints(self.re, self.im)
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)

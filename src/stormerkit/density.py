@@ -60,6 +60,7 @@ def density_sweep(limits: Sequence[int], measure: str = "inclusive") -> list[Den
     """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
+    arith._ints(*limits)
     if not limits or limits[0] < 1 or list(limits) != sorted(limits):
         raise ValueError(f"expected ascending limits >= 1, got {list(limits)}")
     meets = _meets(limits[-1], *_MEASURES[measure])

@@ -84,8 +84,7 @@ class ArcTerm:
     im: int
 
     def __post_init__(self) -> None:
-        if type(self.re) is bool or type(self.im) is bool:
-            raise TypeError(f"arc term parts must be integers, not bool: {self.re!r}, {self.im!r}")
+        arith._ints(self.re, self.im)
         if self.re < 1 or self.im < 1:
             raise ValueError(f"arc term must have re >= 1 and im >= 1, got {self.re}+{self.im}i")
         if math.gcd(self.re, self.im) != 1:
@@ -152,8 +151,9 @@ class GregoryCombo:
         items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         triples = []
         for term, coef in items:
-            if not isinstance(term, ArcTerm) or type(coef) is bool or not isinstance(coef, int):
-                raise TypeError(f"expected ArcTerm keys and int coefficients, got {term!r}: {coef!r}")
+            arith._ints(coef)
+            if not isinstance(term, ArcTerm):
+                raise TypeError(f"expected ArcTerm keys, got {term!r}")
             triples.append((term.re, term.im, coef))
         self._terms = _summed(triples)
 
@@ -578,10 +578,7 @@ def decompose(n: int) -> GregoryCombo:
     kept per n: a call adds to the cache of :func:`_prime_entry` only the
     primes it meets, and it takes no lock.
     """
-    if type(n) is bool:
-        raise TypeError(f"expected an integer, not bool: {n!r}")
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
+    arith._positive(n)
     factors = arith._factorize_norm(n * n + 1)
     if factors[-1][0] >= _threshold(n, _INCLUSIVE):
         return GregoryCombo._canonical((n, 1, 1))

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import _divmod
+from .arith import _divmod, _ints
 from .gregory import ArcTerm, GregoryCombo, _formula_multiple
 
 __all__ = [
@@ -283,24 +283,34 @@ def _guard(digits: int, terms: list[tuple[int, int]], count: int | None = None) 
     return 10 + len(_decimal_digits(max(count, 1)))
 
 
+def _check_series(terms: list[tuple[int, int]], max_terms: int | None) -> None:
+    """Raise ValueError unless the series of every arc term a + bi in
+    ``terms``, given as (a, b), can be summed: first, t_1 needs a cap (an
+    ArcTerm is coprime, so a == b only for t_1); then, no b may exceed a."""
+    if max_terms is None and any(a == b for a, b in terms):
+        raise ValueError("a formula containing t1 itself needs an explicit term cap")
+    for a, b in terms:
+        if b > a:
+            raise ValueError(f"series argument {b}/{a} is not below one")
+
+
 def gregory_series(term: ArcTerm, precision_digits: int, max_terms: int | None = None) -> FixedPoint:
     """Evaluate t_x = arctan(b/a) for the arc term a + bi to the requested
     decimal precision.
 
-    Requires a > b >= 1 so the series argument is below one; a = b = 1
-    (the series for pi/4 itself) is allowed but converges so slowly that
-    ``max_terms`` is mandatory for it.  The value is the partial sum over
-    ``terms_used`` terms rounded toward arctan(b/a), and it is off from
-    arctan(b/a) by at most the first omitted term plus _DUST units of
-    10**-(scale + guard).
+    Requires b <= a so the series converges (:func:`_check_series`); t_1,
+    a = b = 1, the series for pi/4 itself, converges so slowly that
+    ``max_terms`` is mandatory for it.  ``precision_digits`` and
+    ``max_terms`` must be ints (:func:`arith._ints`).  The value is the
+    partial sum over ``terms_used`` terms rounded toward arctan(b/a), and it
+    is off from arctan(b/a) by at most the first omitted term plus _DUST
+    units of 10**-(scale + guard).
     """
     a, b = term.re, term.im
+    _ints(precision_digits, 1 if max_terms is None else max_terms)
     if precision_digits < 0:
         raise ValueError("precision must be >= 0")
-    if b > a or (a == b and a != 1):
-        raise ValueError(f"series argument {b}/{a} is not below one")
-    if a == b == 1 and max_terms is None:
-        raise ValueError("the series for t_1 needs an explicit term cap")
+    _check_series([(a, b)], max_terms)
     guard = _guard(precision_digits, [(a, b)], max_terms)
     scale = precision_digits + guard
     n = _term_count(a, b, scale, max_terms)
@@ -318,12 +328,7 @@ def _checked_multiple(formula: GregoryCombo, digits: int, max_terms: int | None)
     read (:func:`stormerkit.gregory._formula_multiple`)."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    terms = list(formula._triples())
-    if max_terms is None and any(a == b for a, b, _ in terms):
-        raise ValueError("a formula containing t1 itself needs an explicit term cap")
-    for a, b, _ in terms:
-        if b > a:
-            raise ValueError(f"series argument {b}/{a} is not below one")
+    _check_series([(a, b) for a, b, _ in formula._triples()], max_terms)
     return _formula_multiple(formula)
 
 
@@ -359,8 +364,7 @@ def compute_pi(formula: GregoryCombo, digits: int, max_terms: int | None = None)
     bool is refused, as the cache behind this function would take True
     for 1.
     """
-    if not all(isinstance(v, int) and type(v) is not bool for v in (digits, 1 if max_terms is None else max_terms)):
-        raise TypeError(f"digits and max_terms must be ints, not bools: got {digits!r}, {max_terms!r}")
+    _ints(digits, 1 if max_terms is None else max_terms)
     mantissa, scale, _, used = _pi(formula, digits, max_terms)
     text = FixedPoint(mantissa, digits, scale - digits).decimal_string()
     if not text.startswith("3."):

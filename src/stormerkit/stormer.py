@@ -73,8 +73,7 @@ def _threshold(x0: int, convention: Convention) -> int:
 
 def is_stormer(x0: int, convention: Convention = Convention.STRICT) -> StormerVerdict:
     """Decide whether x0 is a Stormer number under the given convention."""
-    if x0 <= 0:
-        raise ValueError(f"expected a positive integer, got {x0}")
+    arith._positive(x0)
     p_m = arith._factorize_norm(x0 * x0 + 1)[-1][0]
     hit = p_m >= _threshold(x0, convention)
     return StormerVerdict(x0, hit, p_m if hit else None, p_m, convention)
@@ -97,8 +96,7 @@ def check_factor_residues(x0: int) -> bool:
     This always holds (any odd prime divisor q of x0**2 + 1 makes -1 a
     quadratic residue mod q); the function exists as a test oracle.
     """
-    if x0 <= 0:
-        raise ValueError(f"expected a positive integer, got {x0}")
+    arith._positive(x0)
     return all(p == 2 or p % 4 == 1 for p in arith.factorize(x0 * x0 + 1).primes())
 
 

@@ -12,6 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stormerkit import arith, stormer
+from stormerkit.density import density_sweep
+from stormerkit.gregory import ArcTerm
+from stormerkit.pidigits import gregory_series
+from stormerkit.stormer import check_factor_residues, is_stormer
 from stormerkit.arith import (
     GaussianInt,
     extended_gcd,
@@ -35,12 +39,38 @@ def test_is_prime_examples() -> None:
     assert not is_prime(-7)
 
 
-@pytest.mark.parametrize("n", [2.5, 10.5, 13.0, 2.0**61 - 1.0])
+@pytest.mark.parametrize("n", [2.5, 10.5, 13.0, 2.0**61 - 1.0, True, False])
 def test_is_prime_refuses_a_float(n: float) -> None:
     # No trial remainder of 2.5 is zero and 2.5 < 47**2: an unchecked float
-    # would be called prime.
+    # would be called prime.  True would be called composite, as 1 is.
     with pytest.raises(TypeError):
         is_prime(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gregory_series(ArcTerm.integer(5), True),
+    lambda: gregory_series(ArcTerm.integer(5), 10.5),
+    lambda: gregory_series(ArcTerm.integer(5), 10, max_terms=True),
+    lambda: gregory_series(ArcTerm.integer(5), 10, max_terms=2.0),
+    lambda: is_stormer(True),
+    lambda: density_sweep([10.5]),
+    lambda: is_prime(True),
+    lambda: is_prime(False),
+    lambda: factorize(True),
+    lambda: factorize(False),
+    lambda: check_factor_residues(True),
+    lambda: check_factor_residues(False),
+], ids=[
+    "series-digits-bool", "series-digits-float", "series-cap-bool", "series-cap-float", "is_stormer-true",
+    "density_sweep-float", "is_prime-true", "is_prime-false", "factorize-true", "factorize-false",
+    "residues-true", "residues-false",
+])
+def test_entry_points_refuse_bools_and_non_ints(call) -> None:
+    # Each passed for its int before arith._ints: gregory_series(t5, True)
+    # gave scale=True, is_stormer(True) a verdict for x0=True, factorize(True)
+    # the empty factorization, and density_sweep([10.5]) islice's message.
+    with pytest.raises(TypeError, match="not a bool"):
+        call()
 
 
 def test_is_prime_rejects_each_tier_bound() -> None:

@@ -14,7 +14,9 @@ output in one function.  Values are built by their constructors, not
 through slot setters.  Each value has one builder: a combo's terms are
 merged and type-checked only in ``GregoryCombo``'s constructor, the
 certificate is read from ``_turns``'s product, and the CLI's records are
-their dataclasses as ``asdict`` gives them."""
+their dataclasses as ``asdict`` gives them.  ``arith._ints`` alone decides
+whether an argument is an int, and ``pidigits._check_series`` alone
+whether a series converges."""
 
 from __future__ import annotations
 
@@ -294,3 +296,46 @@ def test_the_certificate_is_read_from_turns() -> None:
 def test_cli_records_are_their_dataclasses(command: str) -> None:
     cli_py = Path(stormerkit.__file__).parent / "cli.py"
     assert "asdict" in _names(_function(cli_py, command))
+
+
+def _own_nodes(func: ast.FunctionDef) -> list[ast.AST]:
+    """The nodes of ``func``'s body, less those of the functions it defines."""
+    found, todo = [], list(func.body)
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        if not isinstance(node, ast.FunctionDef):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _decides_int(node: ast.AST) -> bool:
+    """True for ``type(v) is bool`` in any spelling, and ``isinstance(v, int)``."""
+    if isinstance(node, ast.Compare):
+        parts = [node.left, *node.comparators]
+        return any(isinstance(p, ast.Call) and _names(p.func) == {"type"} for p in parts) and any(
+            isinstance(p, ast.Name) and p.id == "bool" for p in parts
+        )
+    return (
+        isinstance(node, ast.Call) and _names(node.func) == {"isinstance"} and len(node.args) == 2
+        and "int" in _names(node.args[1])
+    )
+
+
+def test_the_integer_rule_has_one_owner() -> None:
+    # arith._ints alone decides whether an argument is an int and not a bool;
+    # GregoryCombo.__mul__ asks too, since the operator protocol needs
+    # NotImplemented from it, not TypeError.  pidigits._check_series alone
+    # refuses a series that does not converge.
+    deciders, refusers = set(), set()
+    for path in _SOURCES:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            nodes = _own_nodes(func)
+            if any(_decides_int(node) for node in nodes):
+                deciders.add(f"{path.stem}.{func.name}")
+            if any(isinstance(node, ast.Constant) and "not below one" in str(node.value) for node in nodes):
+                refusers.add(f"{path.stem}.{func.name}")
+    assert deciders == {"arith._ints", "gregory.__mul__"}
+    assert refusers == {"pidigits._check_series"}

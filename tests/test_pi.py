@@ -67,6 +67,19 @@ def test_series_one_digit_per_tenfold_terms_for_t1() -> None:
     assert all(0 <= gain <= 2 for gain in gains)  # one digit per decade, +-1
 
 
+@pytest.mark.parametrize("term, message", [
+    (ArcTerm.integer(1), "a formula containing t1 itself needs an explicit term cap"),
+    (ArcTerm(3, 5), "series argument 5/3 is not below one"),
+])
+def test_both_evaluators_refuse_a_series_with_one_message(term: ArcTerm, message: str) -> None:
+    # gregory_series and compute_pi share pidigits._check_series.
+    with pytest.raises(ValueError) as series:
+        gregory_series(term, 10)
+    with pytest.raises(ValueError) as pi:
+        compute_pi(GregoryCombo.single(term), 10)
+    assert str(series.value) == str(pi.value) == message
+
+
 def test_series_rejects_arguments_at_or_above_one() -> None:
     with pytest.raises(ValueError):
         gregory_series(ArcTerm(3, 5), 10)
