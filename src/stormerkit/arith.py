@@ -103,7 +103,7 @@ def _primes_between(lo: int, hi: int) -> Iterator[int]:
 def _ints(*values: object) -> None:
     """Raise TypeError for the first value that is not an int or is a bool:
     the one integer rule of the public entry points.  A bool is an int to
-    Python, but True would pass for 1 and print as neither."""
+    Python, but True would compute as 1 and print as True."""
     for v in values:
         if type(v) is bool or not isinstance(v, int):
             raise TypeError(f"expected an int that is not a bool, got {v!r}")

@@ -69,15 +69,18 @@ def test_series_one_digit_per_tenfold_terms_for_t1() -> None:
 
 @pytest.mark.parametrize("term, message", [
     (ArcTerm.integer(1), "a formula containing t1 itself needs an explicit term cap"),
-    (ArcTerm(3, 5), "series argument 5/3 is not below one"),
+    (ArcTerm(2, 3), "series argument 3/2 is not below one"),
 ])
 def test_both_evaluators_refuse_a_series_with_one_message(term: ArcTerm, message: str) -> None:
-    # gregory_series and compute_pi share pidigits._check_series.
-    with pytest.raises(ValueError) as series:
-        gregory_series(term, 10)
+    # gregory_series and compute_pi share pidigits._check_series.  A term
+    # with b > a that got past it would keep gregory_series from returning,
+    # while compute_pi would still fail on its vector, so compute_pi goes first.
     with pytest.raises(ValueError) as pi:
         compute_pi(GregoryCombo.single(term), 10)
-    assert str(series.value) == str(pi.value) == message
+    assert str(pi.value) == message
+    with pytest.raises(ValueError) as series:
+        gregory_series(term, 10)
+    assert str(series.value) == message
 
 
 def test_series_rejects_arguments_at_or_above_one() -> None:
