@@ -8,7 +8,9 @@ a**2 + b**2, then Brent's variant of Pollard rho), the extended Euclidean
 algorithm, recursive division of big ints, square roots of -1 modulo a
 prime, the Gaussian prime over p read from such a root by Euclid stopped
 below sqrt(p) (Brillhart 1972), and exact arithmetic in Z[i] including
-factorization into Gaussian primes.
+factorization into Gaussian primes.  Products of Gaussian powers are
+multiplied out in one place, :func:`_turns`, which also counts their
+quarter turns.
 
 Plain Python ints serve as the arbitrary-precision integer type and
 ``fractions.Fraction`` as the rational type; both are exact.
@@ -20,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "GaussianInt",
@@ -62,6 +64,7 @@ _MR_FALLBACK = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, by the segmented sieve of :func:`_primes_between`."""
+    _ints(limit)
     return list(_primes_between(2, limit))
 
 
@@ -330,6 +333,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
     Rejects (0, 0), where the gcd is undefined.
     """
+    _ints(a, b)
     if a == 0 and b == 0:
         raise ValueError("extended_gcd(0, 0) is undefined")
     old_r, r = a, b
@@ -483,6 +487,42 @@ def _quarter(re: int, im: int) -> tuple[int, int, int]:
     return -1, -im, re
 
 
+def _turns(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(q, r, s) with prod((a + bi)**e) = i**q * (r + si) over the triples
+    (a, b, e) of ``terms``, e >= 0: the package's one square and multiply in
+    Z[i].  With no a + bi zero, r > 0, s >= 0 and sum(e * Arg(a + bi)) =
+    q*pi/2 + Arg(r + si) exactly.  A zero a + bi makes r = s = 0, whatever
+    q, when e >= 1, and changes nothing when e = 0: 0**0 == 1.
+
+    Square and multiply on plain ints, r + si being the product turned back
+    by i**q.  A product or square of two first-quadrant values lies in the
+    upper half-plane, so one quarter turn (times -i) at most brings it back.
+    A square that turns is i times a first-quadrant base that still enters
+    the product e times, e being the exponent left: it adds e quarter turns.
+    """
+    q, re, im = 0, 1, 0
+    for a, b, e in terms:
+        if a <= 0 or b < 0:
+            t, a, b = _quarter(a, b)
+            q += t * e
+        while e:
+            if e & 1:
+                re, im = re * a - im * b, re * b + im * a
+                if re <= 0:
+                    re, im, q = im, -re, q + 1
+            e >>= 1
+            if e:
+                a, b = a * a - b * b, 2 * a * b
+                if a <= 0:
+                    a, b, q = b, -a, q + e
+    return q, re, im
+
+
+def _rotated(q: int, r: int, s: int) -> "GaussianInt":
+    """i**q * (r + si), from the four powers of i."""
+    return GaussianInt(*((r, s), (-s, r), (-r, -s), (s, -r))[q % 4])
+
+
 @dataclass(frozen=True)
 class GaussianInt:
     """Gaussian integer re + im*i with exact arithmetic.  Each part must be
@@ -510,17 +550,10 @@ class GaussianInt:
         return GaussianInt(-self.re, -self.im)
 
     def __pow__(self, k: int) -> "GaussianInt":
+        _ints(k)
         if k < 0:
             raise ValueError("negative Gaussian powers are not integral")
-        result = GaussianInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _rotated(*_turns([(self.re, self.im, k)]))
 
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
@@ -554,7 +587,7 @@ class GaussianInt:
         if self.is_zero():
             raise ValueError("0 has no canonical associate")
         t, re, im = _quarter(self.re, self.im)
-        return GaussianInt(0, 1) ** (t % 4), GaussianInt(re, im)
+        return _rotated(t, 1, 0), GaussianInt(re, im)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -595,6 +628,9 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
     (p = 2) or p**e (p == 3 (mod 4)).  Each odd p**e exactly dividing
     x**2 + y**2 brings the one prime over p that divides x + yi, which is
     the one dividing r + i for r = x/y mod p (:func:`_prime_over`).
+    The primes are checked, not trusted: with z = i**q * w and their
+    product i**t * w' (:func:`_turns`), w and w' in the first quadrant, they
+    are z's primes exactly when w' == w, and the unit is then i**(q - t).
     """
     if z.is_zero():
         raise ValueError("cannot factor 0")
@@ -613,10 +649,11 @@ def gaussian_factorize(z: GaussianInt) -> tuple[GaussianInt, tuple[tuple[Gaussia
     for p, e in _factorize_norm(x * x + y * y):
         found[(1, 1) if p == 2 else _prime_over(p, x * pow(y, -1, p))] += e
     factors = sorted(((GaussianInt(a, b), e) for (a, b), e in found.items()), key=lambda fe: (fe[0].norm(), fe[0].im))
-    product = math.prod((g**e for g, e in factors), start=GaussianInt(1, 0))
-    if not product.divides(z) or not (unit := z.exact_div(product)).is_unit():
+    q, *associate = _quarter(z.re, z.im)
+    t, *product = _turns((g.re, g.im, e) for g, e in factors)
+    if product != associate:
         raise ArithmeticError(f"the Gaussian primes found for {z} leave a non-unit residual")
-    return unit, tuple(factors)
+    return _rotated(q - t, 1, 0), tuple(factors)
 
 
 def _prime_over(p: int, r: int) -> tuple[int, int]:

@@ -16,7 +16,8 @@ contribute quarter turns, 2*t_1 each.
 The one reader of an angle sum (:func:`_vector`) splits each term a + bi
 into Gaussian parts, r = a/b mod q picking the part over each odd q of a
 factorization of a**2 + b**2 into coprime pieces, and the quarter turns of
-their product (:func:`_turns`) give its t_1 correction.  decompose reads it
+their product (:func:`arith._turns`, the package's one square and multiply
+in Z[i]) give its t_1 correction.  decompose reads it
 over the primes, with the A(p) as the entries.  A verdict needs no primes
 (:func:`_combo_vector`): gcds refine the terms' norms into pairwise coprime
 pieces m on which every term's root is +-S_m, and the entry of m is the
@@ -28,7 +29,7 @@ a hidden 2*pi*m shows as 8*m on t_1.  No float decides a verdict, and no
 factoring, primality test or table does; its cost does not grow with the
 coefficients.  The Gaussian product itself is multiplied out only as a
 certificate to print (:func:`identity_certificate`), by the same
-:func:`_turns` that counts a vector's quarter turns.
+:func:`arith._turns` that counts a vector's quarter turns.
 The flattening of a + bi to e + i through a*d + b*c = 1 is kept as
 :func:`flatten`.
 
@@ -49,7 +50,7 @@ from functools import cache, cmp_to_key
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import arith
-from .arith import GaussianInt
+from .arith import GaussianInt, _turns
 from .stormer import Convention, _threshold
 
 __all__ = [
@@ -253,35 +254,6 @@ class GregoryCombo:
 
 # --- identity verification -------------------------------------------------
 
-def _turns(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """(q, r, s) with sum(e * Arg(a + bi)) = q*pi/2 + Arg(r + si) exactly,
-    r > 0 and s >= 0, over the triples (a, b, e) of ``terms``, a + bi != 0
-    and e >= 0.
-
-    Square and multiply on plain ints, r + si being the product turned back
-    by i**q.  A product or square of two first-quadrant values lies in the
-    upper half-plane, so one quarter turn (times -i) at most brings it back.
-    A square that turns is i times a first-quadrant base that still enters
-    the product e times, e being the exponent left: it adds e quarter turns.
-    """
-    q, re, im = 0, 1, 0
-    for a, b, e in terms:
-        if a <= 0 or b < 0:
-            t, a, b = arith._quarter(a, b)
-            q += t * e
-        while e:
-            if e & 1:
-                re, im = re * a - im * b, re * b + im * a
-                if re <= 0:
-                    re, im, q = im, -re, q + 1
-            e >>= 1
-            if e:
-                a, b = a * a - b * b, 2 * a * b
-                if a <= 0:
-                    a, b, q = b, -a, q + e
-    return q, re, im
-
-
 def _powers(combo: GregoryCombo) -> list[tuple[int, int, int]]:
     """The triples (a, b, e) of a Gaussian product prod((a + bi)**e) whose
     argument is sum(c * arg(re + im*i)) over the terms (re, im, c) of
@@ -367,11 +339,9 @@ def identity_certificate(lhs: GregoryCombo, rhs: GregoryCombo) -> GaussianInt:
     product is a positive real number.  Its size grows with the
     coefficients; the verdict itself is :func:`verify_identity`'s.
 
-    :func:`_turns` squares and multiplies the powers, giving the product as
-    i**q * (r + si); the certificate is that rotation of r + si, read from a
-    table of the four powers of i."""
-    q, r, s = _turns(_powers(lhs - rhs))
-    return GaussianInt(*((r, s), (-s, r), (-r, -s), (s, -r))[q % 4])
+    :func:`arith._turns` squares and multiplies the powers, giving the
+    product as i**q * (r + si), and :func:`arith._rotated` turns it."""
+    return arith._rotated(*_turns(_powers(lhs - rhs)))
 
 
 def verify_identity(lhs: GregoryCombo, rhs: GregoryCombo) -> bool:
@@ -436,7 +406,8 @@ def _flatten_step(a: int, b: int) -> tuple[GaussianInt, GaussianInt]:
 def flatten(z: GaussianInt) -> FlattenResult:
     """Flatten a canonical Gaussian integer to the form e + i.
 
-    ``z`` must satisfy gcd(re, im) = 1, re > 0, |im| != 1 and norm > 2.
+    ``z`` must satisfy gcd(re, im) = 1, re > 0 and |im| >= 2, so its norm
+    is at least 5.
     Each step solves the Diophantine equation a*d + b*c = 1 for the
     minimal-norm multiplier c + di; the step repeats on the multiplier while
     neither of its parts is +-1, that is, while it is neither a unit nor of
@@ -450,8 +421,6 @@ def flatten(z: GaussianInt) -> FlattenResult:
         raise ValueError(f"{z} is not in canonical form (re must be positive)")
     if abs(z.im) == 1 or z.im == 0:
         raise ValueError(f"{z} is already of the form x +- i")
-    if z.norm() <= 2:
-        raise ValueError(f"{z} has norm <= 2")
     multipliers: list[GaussianInt] = []
     flats: list[GaussianInt] = []
     cur = z
@@ -598,6 +567,7 @@ def is_irreducible(n: int) -> bool:
 def occurs_among_earlier(n: int) -> bool:
     """True iff every prime factor of 1 + n**2 divides 1 + m**2 for some
     1 <= m < n.  Checked literally, as a test oracle."""
+    arith._ints(n)
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
     for p in arith.factorize(n * n + 1).primes():
@@ -632,6 +602,7 @@ def lehmer_expand(a: int, b: int, max_terms: int = 64) -> LehmerExpansion:
     remainders b_j strictly decrease, so the expansion terminates in at most
     b steps unless capped earlier by ``max_terms``.
     """
+    arith._ints(a, b, max_terms)
     if b < 1 or a <= b:
         raise ValueError(f"expected a > b >= 1, got a={a}, b={b}")
     if math.gcd(a, b) != 1:

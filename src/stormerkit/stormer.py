@@ -187,6 +187,7 @@ def enumerate_stormer(limit: int, convention: Convention = Convention.INCLUSIVE)
     The largest prime factor of every x**2 + 1 comes from one sieve by the
     roots +-S(p) of the primes p <= limit, taken a block of x at a time.
     """
+    arith._ints(limit)
     return list(_stormer_numbers(limit, convention))
 
 

@@ -44,6 +44,7 @@ def continuant(qs: Sequence[int]) -> int:
     """
     prev, cur = 0, 1
     for q in qs:
+        arith._ints(q)
         if q <= 0:
             raise ValueError(f"continuant entries must be positive, got {q}")
         prev, cur = cur, q * cur + prev
@@ -57,6 +58,7 @@ def euclid_quotients(s: int, r: int) -> list[int]:
     continuant(q2..qn) = r / gcd(s, r); the final quotient absorbs the exact
     division, so qn >= 2 whenever n > 1.
     """
+    arith._ints(s, r)
     if r <= 0 or r >= s:
         raise ValueError(f"expected s > r >= 1, got s={s}, r={r}")
     qs = []

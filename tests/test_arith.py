@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from stormerkit import arith, stormer
 from stormerkit.density import density_sweep
-from stormerkit.gregory import ArcTerm
+from stormerkit.gregory import ArcTerm, lehmer_expand, occurs_among_earlier
 from stormerkit.pidigits import gregory_series
 from stormerkit.stormer import check_factor_residues, is_stormer
+from stormerkit.twosquares import continuant, euclid_quotients
 from stormerkit.arith import (
     GaussianInt,
     extended_gcd,
@@ -47,29 +48,46 @@ def test_is_prime_refuses_a_float(n: float) -> None:
         is_prime(n)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: gregory_series(ArcTerm.integer(5), True),
-    lambda: gregory_series(ArcTerm.integer(5), 10.5),
-    lambda: gregory_series(ArcTerm.integer(5), 10, max_terms=True),
-    lambda: gregory_series(ArcTerm.integer(5), 10, max_terms=2.0),
-    lambda: is_stormer(True),
-    lambda: density_sweep([10.5]),
-    lambda: is_prime(True),
-    lambda: is_prime(False),
-    lambda: factorize(True),
-    lambda: factorize(False),
-    lambda: check_factor_residues(True),
-    lambda: check_factor_residues(False),
+@pytest.mark.parametrize("call, shown", [
+    (lambda: gregory_series(ArcTerm.integer(5), True), "True"),
+    (lambda: gregory_series(ArcTerm.integer(5), 10.5), "10.5"),
+    (lambda: gregory_series(ArcTerm.integer(5), 10, max_terms=True), "True"),
+    (lambda: gregory_series(ArcTerm.integer(5), 10, max_terms=2.0), "2.0"),
+    (lambda: is_stormer(True), "True"),
+    (lambda: density_sweep([10.5]), "10.5"),
+    (lambda: is_prime(True), "True"),
+    (lambda: is_prime(False), "False"),
+    (lambda: factorize(True), "True"),
+    (lambda: factorize(False), "False"),
+    (lambda: check_factor_residues(True), "True"),
+    (lambda: check_factor_residues(False), "False"),
+    (lambda: extended_gcd(10.5, 3), "10.5"),
+    (lambda: continuant([10.5, 2]), "10.5"),
+    (lambda: euclid_quotients(10.5, 3), "10.5"),
+    (lambda: sieve_primes(True), "True"),
+    (lambda: stormer.prime_stormer_table(True), "True"),
+    (lambda: stormer.enumerate_stormer(True), "True"),
+    (lambda: lehmer_expand(7, 2, True), "True"),
+    (lambda: lehmer_expand(7, 2, 10.5), "10.5"),
+    (lambda: occurs_among_earlier(10.5), "10.5"),
+    (lambda: occurs_among_earlier(True), "True"),
+    (lambda: GaussianInt(1, 2) ** True, "True"),
+    (lambda: GaussianInt(1, 2) ** 2.0, "2.0"),
 ], ids=[
     "series-digits-bool", "series-digits-float", "series-cap-bool", "series-cap-float", "is_stormer-true",
     "density_sweep-float", "is_prime-true", "is_prime-false", "factorize-true", "factorize-false",
-    "residues-true", "residues-false",
+    "residues-true", "residues-false", "extended_gcd-float", "continuant-float", "euclid_quotients-float",
+    "sieve_primes-true", "prime_stormer_table-true", "enumerate_stormer-true", "lehmer-cap-true",
+    "lehmer-cap-float", "occurs-float", "occurs-true", "pow-true", "pow-float",
 ])
-def test_entry_points_refuse_bools_and_non_ints(call) -> None:
+def test_entry_points_refuse_bools_and_non_ints(call, shown: str) -> None:
     # Each passed for its int before arith._ints: gregory_series(t5, True)
     # gave scale=True, is_stormer(True) a verdict for x0=True, factorize(True)
-    # the empty factorization, and density_sweep([10.5]) islice's message.
-    with pytest.raises(TypeError, match="not a bool"):
+    # the empty factorization, density_sweep([10.5]) islice's message,
+    # extended_gcd(10.5, 3) (1.5, 1.0, -3.0), enumerate_stormer(True) [1],
+    # GaussianInt(1, 2) ** True 1+2i, and occurs_among_earlier(10.5) a
+    # message about 111.25.  The message names the argument refused.
+    with pytest.raises(TypeError, match=f"not a bool, got {shown}$"):
         call()
 
 
@@ -178,10 +196,37 @@ def test_sieve_primes_small_limits() -> None:
     assert [sieve_primes(n) for n in (-3, 0, 1, 2, 3, 4)] == [[], [], [], [2], [2, 3], [2, 3]]
 
 
+class _Counted(int):
+    """An int whose arithmetic gives _Counted values and counts its products."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Counted(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Counted(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        return _Counted(int.__rsub__(self, other))
+
+    def __neg__(self):
+        return _Counted(int.__neg__(self))
+
+
 def test_gaussian_pow_multiplies_only_what_it_uses(monkeypatch: pytest.MonkeyPatch) -> None:
-    # popcount(k) products into the result and bit_length(k) - 1 squarings:
-    # the base is not squared again after the top bit.
-    for base in (GaussianInt(5, 1), GaussianInt(-2, 3), GaussianInt(0, 1)):
+    # popcount(k) products into the result and bit_length(k) - 1 squarings,
+    # four int products each, all in arith._turns: the base is not squared
+    # again after the top bit, and no GaussianInt is multiplied.
+    for base in (GaussianInt(5, 1), GaussianInt(-2, 3), GaussianInt(0, 1), GaussianInt(0, 0)):
         expected = GaussianInt(1, 0)
         for k in range(41):
             assert base**k == expected, (base, k)
@@ -195,9 +240,11 @@ def test_gaussian_pow_multiplies_only_what_it_uses(monkeypatch: pytest.MonkeyPat
 
     monkeypatch.setattr(GaussianInt, "__mul__", counted)
     for k in [*range(1, 70), 400000]:
-        calls.clear()
-        GaussianInt(5, 1) ** k
-        assert len(calls) == bin(k).count("1") + k.bit_length() - 1, k
+        _Counted.products = 0
+        power = GaussianInt(_Counted(5), _Counted(1)) ** k
+        assert _Counted.products == 4 * (bin(k).count("1") + k.bit_length() - 1), k
+        assert power == GaussianInt(5, 1) ** k, k
+    assert calls == []
 
 
 def test_sieve_primes_is_entered_once_per_call(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -581,6 +628,7 @@ def test_gaussian_basic_ops() -> None:
     assert z * w == GaussianInt(1, 7)
     assert (z * w).norm() == z.norm() * w.norm()
     assert z.conjugate() == GaussianInt(3, -1)
+    assert (z + w, z - w, -z) == (GaussianInt(4, 3), GaussianInt(2, -1), GaussianInt(-3, -1))
     assert GaussianInt(2, 3) ** 4 == GaussianInt(2, 3) * GaussianInt(2, 3) * GaussianInt(2, 3) * GaussianInt(2, 3)
 
 

@@ -78,6 +78,8 @@ def test_arcterm_canonicalization() -> None:
         ArcTerm(0, 1)
     with pytest.raises(ValueError):
         ArcTerm(3, -1)
+    with pytest.raises(ValueError, match="zero is not an arc term"):
+        ArcTerm.of(0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 2**31, 2**64 + 1])
@@ -140,6 +142,8 @@ def test_combo_arithmetic_and_equality() -> None:
     assert str(combo({2: -1, 5: 2, 12: 1})) == "-t2 + 2*t5 + t12"
     assert str(GregoryCombo({ArcTerm(79, 3): 2})) == "2*t79/3"
     assert (a * 0) == GregoryCombo()
+    with pytest.raises(TypeError, match="expected ArcTerm keys, got 'x'"):
+        GregoryCombo({"x": 1})  # type: ignore[dict-item]
 
 
 def test_combo_json_round_trip() -> None:
@@ -1103,6 +1107,8 @@ def test_lehmer_rejects_bad_inputs() -> None:
         lehmer_expand(10, 4)  # not coprime
     with pytest.raises(ValueError):
         lehmer_expand(3, 0)
+    with pytest.raises(ValueError, match="max_terms must be positive"):
+        lehmer_expand(7, 2, 0)
 
 
 # --- identity grammar --------------------------------------------------------------------

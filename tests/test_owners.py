@@ -1,8 +1,10 @@
 """Each exact decision has one owner: the reading of an angle sum as a
 vector, over a coprime base for a verdict and over the Stormer basis for
-``decompose``, lives in ``gregory``, which multiplies the Gaussian product
-out only for the certificate ``gregory verify`` prints; a verdict factors
-nothing and reads no A(p) table; the
+``decompose``, lives in ``gregory``; a product of Gaussian powers is
+multiplied out, and its quarter turns counted, only by ``arith._turns``,
+which ``GaussianInt`` powers, ``gaussian_factorize``'s unit, the
+certificate ``gregory verify`` prints and ``decompose`` all read; a verdict
+factors nothing and reads no A(p) table; the
 check that p is a prime == 1 (mod 4) lives in ``arith``, and so do the one
 route from a root of -1 to the Gaussian prime over p, ``arith._prime_over``,
 and the one division of big values that pi's digits pass through,
@@ -30,7 +32,7 @@ import stormerkit
 _SOURCES = sorted(Path(stormerkit.__file__).parent.glob("*.py"))
 
 # The quarter-turn count, the vector of one term and the one reader of sums.
-_GREGORY_ONLY = {"_turns", "_vector", "_combo_vector"}
+_TURNS_AND_VECTORS = {"_turns", "_vector", "_combo_vector"}
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -52,13 +54,22 @@ def _function(path: Path, name: str) -> ast.FunctionDef:
 
 
 def test_quarter_turns_are_read_only_in_gregory() -> None:
-    assert {path.name for path in _SOURCES} >= {"gregory.py", "pidigits.py", "cli.py"}
-    found = {
-        path.name: sorted(_names(ast.parse(path.read_text(), filename=str(path))) & _GREGORY_ONLY)
-        for path in _SOURCES
-        if path.name != "gregory.py"
+    # arith._turns, the one square-and-multiply in Z[i], is defined in arith
+    # and named by arith and gregory alone; the vector readers live in
+    # gregory, and no other module names any of the three.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in _SOURCES}
+    assert set(trees) >= {"arith.py", "gregory.py", "pidigits.py", "cli.py"}
+    defined = {
+        name: [path for path, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+        for name in _TURNS_AND_VECTORS
     }
-    assert {name: used for name, used in found.items() if used} == {}
+    assert defined == {"_turns": ["arith.py"], "_vector": ["gregory.py"], "_combo_vector": ["gregory.py"]}
+    found = {path: sorted(_names(tree) & _TURNS_AND_VECTORS) for path, tree in trees.items()}
+    assert {path: used for path, used in found.items() if used} == {
+        "arith.py": ["_turns"],
+        "gregory.py": ["_combo_vector", "_turns", "_vector"],
+    }
 
 
 def test_angle_sums_have_one_exact_reader() -> None:
@@ -277,19 +288,26 @@ def test_combo_terms_are_merged_and_checked_only_by_the_constructor() -> None:
 
 
 def test_the_certificate_is_read_from_turns() -> None:
-    # _turns is gregory's one square-and-multiply: the certificate is
-    # i**q * (r + si) for its (q, r, s), and no function multiplies a product
-    # out with math.prod.
+    # arith._turns is the package's one square-and-multiply in Z[i]: a power,
+    # the certificate and the unit of a Gaussian factorization are each read
+    # from its (q, r, s), i**q * (r + si) by arith._rotated.  __pow__ has no
+    # loop of its own, gaussian_factorize checks its primes without dividing,
+    # and the one math.prod in arith and gregory is PrimeFactorization.value's,
+    # over ints.
+    arith_py = Path(stormerkit.__file__).parent / "arith.py"
     gregory_py = Path(stormerkit.__file__).parent / "gregory.py"
-    assert "_turns" in _names(_function(gregory_py, "identity_certificate"))
-    tree = ast.parse(gregory_py.read_text(), filename=str(gregory_py))
+    for path, name in [(arith_py, "__pow__"), (arith_py, "gaussian_factorize"), (gregory_py, "identity_certificate")]:
+        assert {"_turns", "_rotated"} <= _names(_function(path, name)), name
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(_function(arith_py, "__pow__")))
+    assert not _names(_function(arith_py, "gaussian_factorize")) & {"prod", "divides", "exact_div", "is_unit"}
     prods = [
-        node.name
-        for node in ast.walk(tree)
+        f"{path.stem}.{node.name}"
+        for path in (arith_py, gregory_py)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(c.func, ast.Attribute) and c.func.attr == "prod" for c in _calls(node))
     ]
-    assert prods == []
+    assert prods == ["arith.value"]
 
 
 @pytest.mark.parametrize("command", ["stormer_check", "stormer_of_prime", "twosquares_cmd"])

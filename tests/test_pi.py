@@ -39,11 +39,14 @@ def test_series_tail_bound_t5_at_100_terms() -> None:
     assert capped.terms_used == 100
     gap = abs(capped.value() - full.value())
     assert gap < Fraction(1, 10**140)
+    assert float(full) == pytest.approx(ArcTerm.integer(5).value(), rel=1e-15)
 
 
 def test_series_precision_zero_has_integer_part_zero() -> None:
     fp = gregory_series(ArcTerm.integer(7), 0)
     assert fp.decimal_string() == "0"
+    with pytest.raises(ValueError, match="precision must be >= 0"):
+        gregory_series(ArcTerm.integer(5), -1)
 
 
 def test_series_one_digit_per_tenfold_terms_for_t1() -> None:
