@@ -678,6 +678,15 @@ def test_gaussian_factorize_rejects_zero() -> None:
         gaussian_factorize(GaussianInt(0, 0))
 
 
+def test_gaussian_factorize_refuses_a_wrong_prime(monkeypatch: pytest.MonkeyPatch) -> None:
+    # With the conjugate prime over 5 the product (1+i)(2+i) = 1+3i is no
+    # associate of 3+i: the first-quadrant comparison must catch it rather
+    # than return a unit for it.
+    monkeypatch.setattr(arith, "_prime_over", lambda p, r: (2, 1))
+    with pytest.raises(ArithmeticError, match="non-unit residual"):
+        gaussian_factorize(GaussianInt(3, 1))
+
+
 def test_gaussian_factorize_round_trip_randoms() -> None:
     rng = random.Random(5)
     for _ in range(250):
